@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness, io
 from .maskmodel import NoisePrior, build_mask_sets, realize_mask, synthesize_clean_mask
-from .trainer import bilevel_train, load_state, save_state
+from .trainer import load_state, save_state, train_regime
 
 __all__ = ["main"]
 
@@ -88,8 +88,9 @@ def _cmd_train(args):
     _apply_seed(cfg, args)
     exp = harness.build_experiment(cfg, spec)
     if args.resume:
+        # the checkpoint's own regime and budgets; --mode does not apply
         state = load_state(args.resume)
-        bilevel_train(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
+        train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
     else:
         state = harness.run_training(exp, mode=args.mode)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -175,7 +176,9 @@ def _build_parser():
         choices=("full", "no-gst", "no-bilevel", "fixed-variance"),
         help="training regime",
     )
-    q.add_argument("--resume", help="checkpoint to continue from")
+    q.add_argument(
+        "--resume", help="checkpoint to continue in its own regime (ignores --mode)"
+    )
     q.set_defaults(fn=_cmd_train)
 
     q = sub.add_parser("eval", help="score a checkpoint on held-out masks")

@@ -13,8 +13,11 @@ Ablations reuse the same bundle with the training regime swapped out:
 single-loop optimization of both networks on the training scenes),
 ``fixed-variance`` (constant perturbation spread instead of the learned
 map), and ``prior-study`` (full method under different fabrication-error
-priors).  Reports land as deterministic CSV files, uncertainty maps as
-PGM images plus raw cube dumps.
+priors).  The harness holds no training loop: ``run_training`` makes a
+fresh state, records its regime, and hands it to
+:func:`casskit.trainer.train_regime`; every control gets the full
+method's theta budget.  Reports land as deterministic CSV files,
+uncertainty maps as PGM images plus raw cube dumps.
 """
 
 from __future__ import annotations
@@ -35,18 +38,16 @@ from .maskmodel import (
     synthesize_clean_mask,
 )
 from .metrics import TrialReport, epistemic_map, psnr, ssim
-from .ndgrad import Tensor, backward, grad_check, tmean, tsum
+from .ndgrad import Tensor, grad_check, tmean, tsum
 from .optics import HsiCube, Mask, encode
 from .trainer import (
+    REGIMES,
     TrainConfig,
-    baseline_train,
-    bilevel_train,
-    make_dataset,
     make_state,
-    pretrain,
     reconstruct_scene,
     save_state,
     total_loss,
+    train_regime,
 )
 
 __all__ = [
@@ -71,7 +72,6 @@ _ABLATIONS = ("no-gst", "no-bilevel", "fixed-variance", "prior-study")
 # fixed role indices for deriving independent generator streams from one seed
 _ROLE_SCENES = 1
 _ROLE_MASKS = 2
-_ROLE_DATA = 3
 _ROLE_TRIALS = 4
 _ROLE_EVAL_NOISE = 5
 
@@ -192,11 +192,10 @@ class Experiment:
     test_scenes: list
     train_masks: MaskSet
     test_masks: MaskSet
-    datasets: dict
 
 
 def build_experiment(cfg, spec, prior=None):
-    """Generate scenes, fabricate masks, and encode the datasets."""
+    """Generate the scene splits and fabricate the train and test masks."""
     cfg.validate()
     spec.validate()
     if prior is None:
@@ -223,85 +222,25 @@ def build_experiment(cfg, spec, prior=None):
             base, (spec.scene_h, spec.scene_w), spec.k_train, spec.k_test, mask_rng
         )
 
-    data_rng = _role_rng(cfg.seed, _ROLE_DATA)
-    datasets = {
-        "train": make_dataset(trn, train_masks, cfg, data_rng, "train"),
-        "val": make_dataset(val, train_masks, cfg, data_rng, "val"),
-        "test": make_dataset(tst, train_masks, cfg, data_rng, "test"),
-    }
-    return Experiment(cfg, spec, trn, val, tst, train_masks, test_masks, datasets)
+    return Experiment(cfg, spec, trn, val, tst, train_masks, test_masks)
 
 
-def run_training(exp, mode="full", fixed_g=0.0, prior=None):
+def run_training(exp, mode="full", fixed_g=0.0):
     """Train on an experiment bundle under one regime; returns the state.
 
     Modes: "full" (pretrain + alternating bilevel), "no-gst", "no-bilevel",
     "fixed-variance" (uses ``fixed_g``), "untrained" (fresh weights only).
     Epoch budgets of the controls match the full method's theta budget.
+    The regime is recorded in the state, so its checkpoint resumes in it.
     """
-    cfg = exp.cfg
-    theta_epochs = cfg.t_init + cfg.rounds * cfg.t_trn
-    if mode == "full":
-        state = make_state(cfg, with_gst=True)
-        pretrain(state, exp.train_scenes, exp.train_masks)
-        bilevel_train(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
-        return state
-    if mode == "untrained":
-        return make_state(cfg, with_gst=True)
-    if mode == "no-gst":
-        state = make_state(cfg, with_gst=False)
-        baseline_train(state, exp.train_scenes, exp.train_masks, theta_epochs)
-        return state
-    if mode == "fixed-variance":
-        state = make_state(cfg, with_gst=False)
-        baseline_train(
-            state, exp.train_scenes, exp.train_masks, theta_epochs, fixed_g=fixed_g
-        )
-        return state
-    if mode == "no-bilevel":
-        return _joint_train(exp)
-    raise ValueError(f"unknown training mode {mode!r}")
-
-
-def _joint_train(exp):
-    """Single-loop control: theta and phi step together on the train scenes."""
-    cfg = exp.cfg
-    state = make_state(cfg, with_gst=True)
-    pretrain(state, exp.train_scenes, exp.train_masks)
-    epochs = cfg.rounds * (cfg.t_trn + cfg.t_val)
-    scenes = list(exp.train_scenes)
-    for _ in range(epochs):
-        lr_t = cfg.alpha1 * 0.5 ** (state.epoch // cfg.lr_halve_period)
-        lr_p = cfg.alpha2 * 0.5 ** (state.epoch // cfg.lr_halve_period)
-        tot = 0.0
-        ent_tot = 0.0
-        nb = 0
-        for batch in _joint_batches(scenes, cfg.batch, state.rngs["order"]):
-            m = exp.train_masks[int(state.rngs["mask"].integers(len(exp.train_masks)))]
-            total, _recon, ent = total_loss(
-                state.theta, state.phi, batch, m, cfg, state.rngs["eps"],
-                n_total=len(scenes),
-            )
-            backward(total)
-            state.adam_theta.step(lr_t)
-            state.adam_phi.step(lr_p)
-            state.adam_theta.zero_grad()
-            state.adam_phi.zero_grad()
-            tot += float(total.data)
-            ent_tot += float(ent)
-            nb += 1
-        state.epoch += 1
-        state.log.append(
-            {"phase": "joint", "round": -1, "epoch": state.epoch,
-             "loss": tot / max(nb, 1), "entropy": ent_tot / max(nb, 1)}
-        )
-    return state
-
-
-def _joint_batches(scenes, batch, rng):
-    idx = rng.permutation(len(scenes))
-    for s in range(0, len(idx), batch):
-        yield [scenes[int(i)] for i in idx[s : s + batch]]
+    if mode not in REGIMES:
+        raise ValueError(f"unknown training mode {mode!r}")
+    state = make_state(exp.cfg, with_gst=REGIMES[mode])
+    state.regime = {
+        "mode": mode,
+        "fixed_g": float(fixed_g) if mode == "fixed-variance" else None,
+    }
+    return train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
 
 
 def evaluate(state, exp, label):
@@ -364,7 +303,7 @@ def run_scenario(cfg, spec, out_dir=None, mode="full", state=None, prior=None):
     """Build, train (unless a state is supplied), evaluate, emit, report."""
     exp = build_experiment(cfg, spec, prior=prior)
     if state is None:
-        state = run_training(exp, mode=mode, prior=prior)
+        state = run_training(exp, mode=mode)
     report = evaluate(state, exp, f"{spec.kind}/{mode}")
     if out_dir is not None:
         _emit(out_dir, exp, state, report)
@@ -379,7 +318,7 @@ def run_ablation(kind, cfg, spec, out_dir=None, g0_values=(0.0, 0.1), priors=Non
 
     def _one(label, mode, fixed_g=0.0, prior=None):
         exp = build_experiment(cfg, spec, prior=prior)
-        state = run_training(exp, mode=mode, fixed_g=fixed_g, prior=prior)
+        state = run_training(exp, mode=mode, fixed_g=fixed_g)
         report = evaluate(state, exp, label)
         if out_dir is not None:
             _emit(os.path.join(out_dir, label), exp, state, report)

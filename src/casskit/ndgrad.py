@@ -35,8 +35,6 @@ __all__ = [
     "reshape",
     "transpose",
     "stack",
-    "elementwise",
-    "reduce_scalar",
     "backward",
     "zero_grad",
     "grad_check",
@@ -114,38 +112,8 @@ class Tensor:
     def __rsub__(self, other):
         return add(_lift(other), neg(self))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def softplus(self):
-        return softplus(self)
-
-    def log(self):
-        return log(self)
-
-    def clamp01(self):
-        return clamp01(self)
-
     def sum(self):
         return tsum(self)
-
-    def mean(self):
-        return tmean(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self):
-        return transpose(self)
-
-    def backward(self):
-        backward(self)
 
 
 def _lift(x):
@@ -427,38 +395,6 @@ def stack(tensors):
 
     out._backward = _bw
     return out
-
-
-_UNARY = {
-    "neg": neg,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "softplus": softplus,
-    "log": log,
-    "clamp01": clamp01,
-}
-_BINARY = {"add": add, "mul": mul}
-
-
-def elementwise(kind, a, b=None):
-    """Dispatch a pointwise op by name; handy for table-driven tests."""
-    if kind in _BINARY:
-        if b is None:
-            raise ValueError(f"{kind} needs two operands")
-        return _BINARY[kind](a, b)
-    if kind in _UNARY:
-        if b is not None:
-            raise ValueError(f"{kind} takes one operand")
-        return _UNARY[kind](a)
-    raise ValueError(f"unknown elementwise op {kind!r}")
-
-
-def reduce_scalar(kind, a):
-    if kind == "sum":
-        return tsum(a)
-    if kind == "mean":
-        return tmean(a)
-    raise ValueError(f"unknown reduction {kind!r}")
 
 
 def _toposort(root):

@@ -2,11 +2,12 @@
 
 The camera multiplies each spectral channel of a scene by a coding mask,
 shears the channels horizontally by ``d`` pixels per channel index, and
-sums them onto a single 2-D detector.  ``encode`` produces that
-measurement, ``init_input`` undoes the shear per channel (window
-extraction times mask) to seed a reconstruction network, and the
-``*_tape`` variants build the same maps on the gradient tape so the mask
-can be optimized through them.
+sums them onto a single 2-D detector.  ``encode_tape`` produces that
+measurement and ``init_input_tape`` undoes the shear per channel (window
+extraction times mask) to seed a reconstruction network, both on the
+gradient tape so the mask can be optimized through them.  ``encode`` and
+``init_input`` are their plain-array entry points: typed inputs in,
+values out, with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "Measurement",
     "shift_cube",
     "encode",
-    "encode_batch",
     "init_input",
     "encode_tape",
     "init_input_tape",
@@ -153,18 +153,10 @@ def encode(x, m, d=2, noise_std=0.0, rng=None):
     """Form the detector image: sum over channels of shifted (scene * mask).
 
     Returns a :class:`Measurement`.  With ``noise_std > 0`` adds pixelwise
-    N(0, noise_std^2) from ``rng``.
+    N(0, noise_std^2) from ``rng``.  The map itself is :func:`encode_tape`.
     """
-    xv = _cube_values(x)
-    mv = _mask_values(m)
-    h, w, bands = xv.shape
-    if mv.shape != (h, w):
-        raise ShapeError(f"mask shape {mv.shape} does not match scene {(h, w)}")
-    if d < 0:
-        raise ValueError(f"dispersion step must be >= 0, got {d}")
-    y = np.zeros((h, w + d * (bands - 1)))
-    for i in range(bands):
-        y[:, d * i : d * i + w] += xv[:, :, i] * mv
+    _, w, bands = _cube_values(x).shape
+    y = encode_tape(x, Tensor(_mask_values(m)), d).data
     if noise_std < 0:
         raise ValueError(f"noise std must be >= 0, got {noise_std}")
     if noise_std > 0.0:
@@ -174,36 +166,13 @@ def encode(x, m, d=2, noise_std=0.0, rng=None):
     return Measurement(y, step=d, width=w, bands=bands)
 
 
-def encode_batch(xs, m, d=2, noise_mode="none", noise_level=0.0, rng=None):
-    """Encode a sequence of scenes with one mask.
-
-    noise_mode: "none"; "fixed" adds N(0, noise_level^2) to every
-    measurement; "uniform" draws one std ~ U[0, noise_level] per
-    measurement, then adds N(0, std^2).
-    """
-    if noise_mode not in ("none", "fixed", "uniform"):
-        raise ValueError(f"unknown noise mode {noise_mode!r}")
-    if noise_mode != "none" and rng is None:
-        raise ValueError(f"noise mode {noise_mode!r} requires an rng")
-    out = []
-    for x in xs:
-        if noise_mode == "none":
-            out.append(encode(x, m, d))
-        elif noise_mode == "fixed":
-            out.append(encode(x, m, d, noise_std=noise_level, rng=rng))
-        else:
-            std = rng.uniform(0.0, noise_level)
-            out.append(encode(x, m, d, noise_std=std, rng=rng))
-    return out
-
-
 def init_input(y, m, d=None, bands=None):
     """Per-channel window of the measurement times the mask.
 
     Channel i reads columns [d*i, d*i + W) of the detector image and
     multiplies by the mask; the result is an H x W x bands array shaped
     like the scene.  ``d`` and ``bands`` default to the measurement's own
-    geometry.
+    geometry.  The map itself is :func:`init_input_tape`.
     """
     mv = _mask_values(m)
     if isinstance(y, Measurement):
@@ -214,18 +183,7 @@ def init_input(y, m, d=None, bands=None):
         yv = _clean(y, 2, "measurement")
         if d is None or bands is None:
             raise ValueError("raw measurement arrays need explicit d and bands")
-    h, w = mv.shape
-    if yv.shape[0] != h:
-        raise ShapeError(f"measurement height {yv.shape[0]} vs mask height {h}")
-    if yv.shape[1] != w + d * (bands - 1):
-        raise ShapeError(
-            f"measurement width {yv.shape[1]} inconsistent with "
-            f"W={w}, d={d}, bands={bands}"
-        )
-    out = np.empty((h, w, bands))
-    for i in range(bands):
-        out[:, :, i] = yv[:, d * i : d * i + w] * mv
-    return out
+    return chw_to_cube(init_input_tape(Tensor(yv), Tensor(mv), d, bands).data)
 
 
 def encode_tape(x, m, d=2):

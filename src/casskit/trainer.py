@@ -1,6 +1,7 @@
-"""Training loops for the reconstruction network and the mask-deviation model.
+"""Training schedules for the reconstruction network and the mask-deviation model.
 
-Three regimes share one Monte-Carlo reconstruction loss:
+Every regime is a schedule over one epoch helper that steps theta, phi or
+both and logs one row, all sharing one Monte-Carlo reconstruction loss:
 
 * ``pretrain`` warms up the reconstruction weights theta alone.
 * ``bilevel_train`` alternates rounds: a few epochs updating theta on the
@@ -9,6 +10,15 @@ Three regimes share one Monte-Carlo reconstruction loss:
   the reconstruction loss plus a weighted mask-entropy term.
 * ``baseline_train`` is plain mask-ensemble training without phi, with an
   optional constant perturbation spread for controls.
+* ``joint_train`` steps theta and phi together on the training scenes,
+  the single-loop control.
+
+``train_regime`` runs the regime recorded in the state (``full``,
+``no-gst``, ``fixed-variance``, ``no-bilevel`` or ``untrained``).  Each
+schedule trains until its counter reaches the budget in the config, so a
+state loaded from a checkpoint continues in its own regime by the same
+call.  The controls get the full method's theta budget,
+``t_init + rounds * t_trn`` epochs.
 
 Each loss sample redraws the mask: m' = clamp01(m + g * eps), re-encodes
 the scene through m', and reconstructs from the windowed initialization,
@@ -16,12 +26,12 @@ so gradients reach phi through both the measurement and the conditioning.
 
 Every random draw comes from a role-named generator stream (data order,
 mask choice, eps, measurement noise), so runs are reproducible and a
-checkpoint can capture the exact position of every stream.  Theta epochs
-(pretrain, bilevel train epochs, baseline) draw from ``order``, ``mask``,
-``eps`` and ``noise``; phi epochs draw from their own ``phi_order``,
-``phi_mask``, ``phi_eps`` and ``phi_noise``.  So the theta epochs of the
-full model see the same batches and masks as the equal-budget baseline,
-and the comparison between the two stays paired.
+checkpoint can capture the exact position of every stream.  Epochs that
+step theta draw from ``order``, ``mask``, ``eps`` and ``noise``; epochs
+that step only phi draw from their own ``phi_order``, ``phi_mask``,
+``phi_eps`` and ``phi_noise``.  So the theta epochs of the full model
+see the same batches and masks as the equal-budget baseline, and the
+comparison between the two stays paired.
 """
 
 from __future__ import annotations
@@ -39,10 +49,8 @@ from .ndgrad import Tensor, add, backward, mul, neg, tmean, tsum
 from .optics import (
     HsiCube,
     Mask,
-    Measurement,
     cube_to_chw,
     chw_to_cube,
-    encode,
     encode_tape,
     init_input,
     init_input_tape,
@@ -53,9 +61,6 @@ __all__ = [
     "TrainingDiverged",
     "Adam",
     "lr_schedule",
-    "DataItem",
-    "Dataset",
-    "make_dataset",
     "recon_loss",
     "total_loss",
     "TrainState",
@@ -63,6 +68,9 @@ __all__ = [
     "pretrain",
     "bilevel_train",
     "baseline_train",
+    "joint_train",
+    "REGIMES",
+    "train_regime",
     "reconstruct_scene",
     "save_state",
     "load_state",
@@ -74,6 +82,12 @@ _RNG_ROLES = (
     "init_theta", "init_phi", "order", "mask", "eps", "noise",
     "phi_order", "phi_mask", "phi_eps", "phi_noise",
 )
+
+# training regime -> whether its state carries the deviation network phi
+REGIMES = {
+    "full": True, "no-gst": False, "no-bilevel": True,
+    "fixed-variance": False, "untrained": True,
+}
 
 
 class TrainingDiverged(RuntimeError):
@@ -196,58 +210,6 @@ class Adam(object):
             t.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-@dataclass(frozen=True)
-class DataItem:
-    x: HsiCube
-    y: Measurement
-    mask_id: int
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Scene/measurement pairs with the id of the mask that encoded each."""
-
-    items: tuple
-    split: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-
-    def __len__(self):
-        return len(self.items)
-
-    def scenes(self):
-        return [it.x for it in self.items]
-
-    def validate(self, masks, tol=1e-9):
-        """Noiseless datasets must re-encode exactly (to tol) from (x, mask)."""
-        for i, it in enumerate(self.items):
-            y2 = encode(it.x, masks[it.mask_id], it.y.step)
-            err = float(np.max(np.abs(y2.values - it.y.values)))
-            if err > tol:
-                raise ValueError(
-                    f"item {i} of {self.split!r} dataset does not re-encode: "
-                    f"max abs error {err:.3g} > {tol:.3g}"
-                )
-        return self
-
-
-def make_dataset(scenes, masks, cfg, rng, split):
-    """Pair each scene with a mask drawn from ``masks`` and encode it."""
-    items = []
-    for x in scenes:
-        mid = int(rng.integers(len(masks)))
-        if cfg.noise_mode == "none":
-            y = encode(x, masks[mid], cfg.d)
-        elif cfg.noise_mode == "fixed":
-            y = encode(x, masks[mid], cfg.d, noise_std=cfg.noise_std, rng=rng)
-        else:
-            std = rng.uniform(0.0, cfg.noise_max)
-            y = encode(x, masks[mid], cfg.d, noise_std=std, rng=rng)
-        items.append(DataItem(x, y, mid))
-    return Dataset(tuple(items), split)
-
-
 def _scene_values(x):
     return x.values if isinstance(x, HsiCube) else np.asarray(x, dtype=np.float64)
 
@@ -356,6 +318,8 @@ class TrainState:
     epoch: int = 0
     round: int = 0
     log: list = field(default_factory=list)
+    # {"mode": one of REGIMES, "fixed_g": float or None}; None if not recorded
+    regime: dict | None = None
 
 
 def make_state(cfg, with_gst=True):
@@ -408,32 +372,72 @@ def _pick_mask(masks, rng):
     return masks[int(rng.integers(len(masks)))]
 
 
-def pretrain(state, train_scenes, masks):
-    """Warm up theta for ``t_init`` epochs on the training scenes."""
+def _theta_budget(cfg):
+    """Theta epochs of the full method: pretrain plus every round's theta epochs."""
+    return cfg.t_init + cfg.rounds * cfg.t_trn
+
+
+def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
+           phi=None, fixed_g=None):
+    """One pass over ``scenes`` stepping theta, phi or both; logs one row.
+
+    Epochs that step phi score :func:`total_loss` through ``state.phi``.
+    Theta-only epochs score :func:`recon_loss` with the masks perturbed by
+    the frozen ``phi``, by the constant spread ``fixed_g``, or not at all.
+    Epochs that step only phi draw batch order, mask, eps and noise from
+    the ``phi_*`` streams; every other epoch draws from the theta streams.
+    """
     cfg = state.cfg
-    scenes = list(train_scenes)
-    for _ in range(cfg.t_init):
-        lr = lr_schedule(cfg.alpha0, state.epoch, cfg.lr_halve_period)
-        tot = 0.0
-        nb = 0
-        for batch in _batches(scenes, cfg.batch, state.rngs["order"]):
-            m = _pick_mask(masks, state.rngs["mask"])
-            phi = state.phi if cfg.pretrain_perturb else None
-            noise = _draw_noise_fields(cfg, batch, state.rngs["noise"])
+    scenes = list(scenes)
+    family = "phi_" if lr_theta is None else ""
+    order, pick, eps, noise_rng = (
+        state.rngs[family + role] for role in ("order", "mask", "eps", "noise")
+    )
+    tot = 0.0
+    ent_tot = 0.0
+    nb = 0
+    for batch in _batches(scenes, cfg.batch, order):
+        m = _pick_mask(masks, pick)
+        noise = _draw_noise_fields(cfg, batch, noise_rng)
+        if lr_phi is None:
+            g = None
+            if fixed_g is not None:
+                g = Tensor(np.full(_mask_values(m).shape, fixed_g, dtype=np.float64))
             loss, _ = recon_loss(
-                state.theta, phi, batch, m, cfg, state.rngs["eps"],
-                detach_gst=True, noise_fields=noise, n_total=len(scenes),
+                state.theta, phi, batch, m, cfg, eps, g=g, detach_gst=True,
+                noise_fields=noise, n_total=len(scenes),
             )
-            backward(loss)
-            state.adam_theta.step(lr)
-            state.adam_theta.zero_grad()
-            tot += float(loss.data)
-            nb += 1
-        state.epoch += 1
-        state.log.append(
-            {"phase": "pretrain", "round": -1, "epoch": state.epoch,
-             "loss": tot / max(nb, 1), "entropy": None}
-        )
+        else:
+            loss, _recon, ent = total_loss(
+                state.theta, state.phi, batch, m, cfg, eps,
+                noise_fields=noise, n_total=len(scenes),
+            )
+            ent_tot += float(ent)
+        backward(loss)
+        if lr_theta is not None:
+            state.adam_theta.step(lr_theta)
+        if lr_phi is not None:
+            state.adam_phi.step(lr_phi)
+            state.adam_phi.zero_grad()
+        # a phi-only step leaves gradients in theta through the shared graph
+        state.adam_theta.zero_grad()
+        tot += float(loss.data)
+        nb += 1
+    state.epoch += 1
+    state.log.append(
+        {"phase": phase, "round": rnd, "epoch": state.epoch,
+         "loss": tot / max(nb, 1),
+         "entropy": None if lr_phi is None else ent_tot / max(nb, 1)}
+    )
+
+
+def pretrain(state, train_scenes, masks):
+    """Warm up theta on the training scenes until ``state.epoch`` is ``t_init``."""
+    cfg = state.cfg
+    phi = state.phi if cfg.pretrain_perturb else None
+    while state.epoch < cfg.t_init:
+        lr = lr_schedule(cfg.alpha0, state.epoch, cfg.lr_halve_period)
+        _epoch(state, train_scenes, masks, "pretrain", lr_theta=lr, phi=phi)
     return state
 
 
@@ -452,97 +456,80 @@ def bilevel_train(state, train_scenes, val_scenes, masks):
     cfg = state.cfg
     if state.phi is None:
         raise ValueError("bilevel training needs the deviation network")
-    trn = list(train_scenes)
-    val = list(val_scenes)
     while state.round < cfg.rounds:
         r = state.round
         for _ in range(cfg.t_trn):
             # every round so far ran t_val phi epochs after its theta epochs
             theta_epoch = state.epoch - r * cfg.t_val
             lr = lr_schedule(cfg.alpha1, theta_epoch, cfg.lr_halve_period)
-            tot = 0.0
-            nb = 0
-            for batch in _batches(trn, cfg.batch, state.rngs["order"]):
-                m = _pick_mask(masks, state.rngs["mask"])
-                noise = _draw_noise_fields(cfg, batch, state.rngs["noise"])
-                loss, _ = recon_loss(
-                    state.theta, state.phi, batch, m, cfg, state.rngs["eps"],
-                    detach_gst=True, noise_fields=noise, n_total=len(trn),
-                )
-                backward(loss)
-                state.adam_theta.step(lr)
-                state.adam_theta.zero_grad()
-                tot += float(loss.data)
-                nb += 1
-            state.epoch += 1
-            state.log.append(
-                {"phase": "train", "round": r, "epoch": state.epoch,
-                 "loss": tot / max(nb, 1), "entropy": None}
-            )
+            _epoch(state, train_scenes, masks, "train", r, lr_theta=lr, phi=state.phi)
         for _ in range(cfg.t_val):
             lr = lr_schedule(cfg.alpha2, state.epoch, cfg.lr_halve_period)
-            tot = 0.0
-            ent_tot = 0.0
-            nb = 0
-            for batch in _batches(val, cfg.batch, state.rngs["phi_order"]):
-                m = _pick_mask(masks, state.rngs["phi_mask"])
-                noise = _draw_noise_fields(cfg, batch, state.rngs["phi_noise"])
-                total, _recon, ent = total_loss(
-                    state.theta, state.phi, batch, m, cfg, state.rngs["phi_eps"],
-                    noise_fields=noise, n_total=len(val),
-                )
-                backward(total)
-                state.adam_phi.step(lr)
-                state.adam_phi.zero_grad()
-                # theta picked up gradients through the shared graph; drop them
-                state.adam_theta.zero_grad()
-                tot += float(total.data)
-                ent_tot += float(ent)
-                nb += 1
-            state.epoch += 1
-            state.log.append(
-                {"phase": "val", "round": r, "epoch": state.epoch,
-                 "loss": tot / max(nb, 1), "entropy": ent_tot / max(nb, 1)}
-            )
+            _epoch(state, val_scenes, masks, "val", r, lr_phi=lr)
         state.round += 1
     return state
 
 
-def baseline_train(state, train_scenes, masks, epochs, fixed_g=None):
+def baseline_train(state, train_scenes, masks, epochs=None, fixed_g=None):
     """Plain mask-ensemble training of theta (no deviation network).
 
-    ``fixed_g`` perturbs masks with a constant per-pixel std instead of a
-    learned one; 0 reproduces the unperturbed baseline bit for bit
-    because the eps stream is separate from the order/mask streams.
+    Trains until ``state.epoch`` reaches ``epochs``, by default the full
+    method's theta budget ``t_init + rounds * t_trn``.  ``fixed_g``
+    perturbs masks with a constant per-pixel std instead of a learned
+    one; 0 reproduces the unperturbed baseline bit for bit because the eps
+    stream is separate from the order/mask streams.
     """
     cfg = state.cfg
-    scenes = list(train_scenes)
-    for _ in range(epochs):
+    budget = _theta_budget(cfg) if epochs is None else epochs
+    while state.epoch < budget:
         lr = lr_schedule(cfg.alpha1, state.epoch, cfg.lr_halve_period)
-        tot = 0.0
-        nb = 0
-        for batch in _batches(scenes, cfg.batch, state.rngs["order"]):
-            m = _pick_mask(masks, state.rngs["mask"])
-            noise = _draw_noise_fields(cfg, batch, state.rngs["noise"])
-            g = None
-            if fixed_g is not None:
-                g = Tensor(np.broadcast_to(
-                    np.asarray(fixed_g, dtype=np.float64), _mask_values(m).shape
-                ).copy())
-            loss, _ = recon_loss(
-                state.theta, None, batch, m, cfg, state.rngs["eps"],
-                g=g, noise_fields=noise, n_total=len(scenes),
-            )
-            backward(loss)
-            state.adam_theta.step(lr)
-            state.adam_theta.zero_grad()
-            tot += float(loss.data)
-            nb += 1
-        state.epoch += 1
-        state.log.append(
-            {"phase": "baseline", "round": -1, "epoch": state.epoch,
-             "loss": tot / max(nb, 1), "entropy": None}
+        _epoch(state, train_scenes, masks, "baseline", lr_theta=lr, fixed_g=fixed_g)
+    return state
+
+
+def joint_train(state, train_scenes, masks):
+    """Single-loop control: theta and phi step together on the train scenes.
+
+    Runs until ``state.epoch`` reaches the full method's theta budget, so
+    after ``pretrain`` theta gets as many epochs as in ``bilevel_train``.
+    Both rates are scheduled on ``state.epoch``, which here counts only
+    theta epochs.
+    """
+    cfg = state.cfg
+    if state.phi is None:
+        raise ValueError("joint training needs the deviation network")
+    while state.epoch < _theta_budget(cfg):
+        _epoch(
+            state, train_scenes, masks, "joint",
+            lr_theta=lr_schedule(cfg.alpha1, state.epoch, cfg.lr_halve_period),
+            lr_phi=lr_schedule(cfg.alpha2, state.epoch, cfg.lr_halve_period),
         )
+    return state
+
+
+def train_regime(state, train_scenes, val_scenes, masks):
+    """Run the regime recorded in ``state.regime`` until its budgets are met.
+
+    Every schedule trains until its counter reaches the budget in
+    ``state.cfg``, so the same call trains a fresh state, continues a
+    loaded checkpoint, and leaves a finished run as it is.
+    """
+    if state.regime is None:
+        raise ValueError(
+            "the state records no training regime; a checkpoint needs the "
+            "'meta/regime' blob to be resumed"
+        )
+    mode = state.regime.get("mode")
+    if mode not in REGIMES:
+        raise ValueError(f"unknown training mode {mode!r}")
+    if mode in ("full", "no-bilevel"):
+        pretrain(state, train_scenes, masks)
+    if mode == "full":
+        bilevel_train(state, train_scenes, val_scenes, masks)
+    elif mode == "no-bilevel":
+        joint_train(state, train_scenes, masks)
+    elif mode in ("no-gst", "fixed-variance"):
+        baseline_train(state, train_scenes, masks, fixed_g=state.regime.get("fixed_g"))
     return state
 
 
@@ -574,6 +561,8 @@ def state_blobs(state):
     blobs = {"meta/config": config_text(state.cfg)}
     blobs["meta/counters"] = json.dumps({"epoch": state.epoch, "round": state.round})
     blobs["meta/log"] = json.dumps(state.log)
+    if state.regime is not None:
+        blobs["meta/regime"] = json.dumps(state.regime, sort_keys=True)
     for role, gen in state.rngs.items():
         blobs[f"meta/rng/{role}"] = json.dumps(gen.bit_generator.state)
     for n, t in state.theta.parameters():
@@ -596,6 +585,8 @@ def state_from_blobs(blobs):
     state.epoch = int(counters["epoch"])
     state.round = int(counters["round"])
     state.log = json.loads(blobs["meta/log"])
+    if "meta/regime" in blobs:
+        state.regime = json.loads(blobs["meta/regime"])
     for role, gen in state.rngs.items():
         name = f"meta/rng/{role}"
         if name not in blobs:

@@ -1,8 +1,9 @@
 """Forward-model checks against a nested-loop oracle.
 
 The oracle below places every scene voxel on the detector one at a time;
-the vectorized encoder must agree to float precision.  The tape variants
-are checked for value agreement and finite-difference gradients.
+the vectorized encoder must agree to float precision.  ``encode`` and
+``init_input`` run through the tape maps, which are checked against the
+same loop oracles and by finite differences.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from casskit.optics import (
     chw_to_cube,
     cube_to_chw,
     encode,
-    encode_batch,
     encode_tape,
     init_input,
     init_input_tape,
@@ -109,24 +109,6 @@ def test_encode_shape_and_step_errors():
         encode(x, RNG.random((4, 4)), d=-1)
 
 
-def test_encode_batch_modes():
-    xs = [RNG.random((4, 4, 2)) for _ in range(3)]
-    m = RNG.random((4, 4))
-    ys = encode_batch(xs, m, d=1)
-    assert len(ys) == 3
-    np.testing.assert_allclose(ys[0].values, encode(xs[0], m, d=1).values)
-    fixed = encode_batch(xs, m, d=1, noise_mode="fixed", noise_level=0.05,
-                         rng=np.random.default_rng(9))
-    assert all(not np.array_equal(a.values, b.values) for a, b in zip(fixed, ys))
-    uni = encode_batch(xs, m, d=1, noise_mode="uniform", noise_level=0.05,
-                       rng=np.random.default_rng(9))
-    assert len(uni) == 3
-    with pytest.raises(ValueError):
-        encode_batch(xs, m, d=1, noise_mode="fixed", noise_level=0.05)
-    with pytest.raises(ValueError):
-        encode_batch(xs, m, d=1, noise_mode="bogus")
-
-
 def test_init_input_windows_match_loop():
     x = RNG.random((5, 6, 3))
     m = RNG.random((5, 6))
@@ -209,10 +191,12 @@ def test_typed_and_raw_inputs_agree():
 # -- tape variants ----------------------------------------------------------
 
 def test_encode_tape_matches_encode():
+    # encode runs through encode_tape, so both answer to the voxel oracle
     x = RNG.random((4, 5, 3))
     m = RNG.random((4, 5))
     yt = encode_tape(x, Tensor(m), d=2)
-    np.testing.assert_allclose(yt.data, encode(x, m, d=2).values, atol=1e-12)
+    np.testing.assert_allclose(yt.data, encode_oracle(x, m, 2), atol=1e-12)
+    np.testing.assert_array_equal(encode(x, m, d=2).values, yt.data)
 
 
 def test_encode_tape_mask_gradient():
@@ -232,7 +216,9 @@ def test_init_input_tape_values_and_grads():
     y = encode(x, mv, d=1)
     out = init_input_tape(Tensor(y.values), Tensor(mv), 1, 2)
     assert out.shape == (2, 3, 4)
-    np.testing.assert_allclose(chw_to_cube(out.data), init_input(y, mv), atol=1e-12)
+    for i in range(2):  # channel i reads detector columns [i, i + 4)
+        np.testing.assert_allclose(out.data[i], y.values[:, i : i + 4] * mv, atol=1e-12)
+    np.testing.assert_array_equal(init_input(y, mv), chw_to_cube(out.data))
 
     yt = Tensor(y.values)
     mt = Tensor(mv)

@@ -18,7 +18,6 @@ from casskit.ndgrad import Tensor, backward
 from casskit.optics import Mask
 from casskit.trainer import (
     Adam,
-    Dataset,
     TrainConfig,
     TrainingDiverged,
     baseline_train,
@@ -26,7 +25,6 @@ from casskit.trainer import (
     config_text,
     load_state,
     lr_schedule,
-    make_dataset,
     make_state,
     pretrain,
     recon_loss,
@@ -35,6 +33,7 @@ from casskit.trainer import (
     state_blobs,
     state_from_blobs,
     total_loss,
+    train_regime,
 )
 
 RNG = np.random.default_rng(2023)
@@ -251,56 +250,6 @@ def test_total_loss_without_gst_returns_no_entropy():
     assert total is recon and ent is None
 
 
-# -- dataset ----------------------------------------------------------------
-
-def test_make_dataset_reencodes_exactly_when_noiseless():
-    cfg = tiny_cfg()
-    scenes, masks = tiny_problem(cfg)
-    from casskit.maskmodel import MaskSet
-
-    mset = MaskSet(tuple(masks), "train")
-    from casskit.optics import HsiCube
-
-    cubes = [HsiCube(s) for s in scenes]
-    ds = make_dataset(cubes, mset, cfg, np.random.default_rng(0), "train")
-    assert len(ds) == len(scenes)
-    ds.validate(mset)  # must not raise
-
-
-def test_dataset_validate_catches_corruption():
-    cfg = tiny_cfg()
-    scenes, masks = tiny_problem(cfg)
-    from casskit.maskmodel import MaskSet
-    from casskit.optics import HsiCube, Measurement
-
-    mset = MaskSet(tuple(masks), "train")
-    cubes = [HsiCube(s) for s in scenes]
-    ds = make_dataset(cubes, mset, cfg, np.random.default_rng(0), "train")
-    bad = ds.items[0]
-    tampered = Measurement(bad.y.values + 0.5, bad.y.step, bad.y.width, bad.y.bands)
-    ds2 = Dataset((dataclasses.replace(bad, y=tampered),) + ds.items[1:], "train")
-    with pytest.raises(ValueError):
-        ds2.validate(mset)
-
-
-def test_make_dataset_noise_modes_differ():
-    cfg_f = tiny_cfg(noise_mode="fixed", noise_std=0.05)
-    scenes, masks = tiny_problem(cfg_f)
-    from casskit.maskmodel import MaskSet
-    from casskit.optics import HsiCube
-
-    mset = MaskSet(tuple(masks), "train")
-    cubes = [HsiCube(s) for s in scenes]
-    noisy = make_dataset(cubes, mset, cfg_f, np.random.default_rng(0), "train")
-    clean = make_dataset(cubes, mset, tiny_cfg(), np.random.default_rng(0), "train")
-    pairs = [
-        (a, b) for a, b in zip(noisy.items, clean.items) if a.mask_id == b.mask_id
-    ]
-    assert pairs and all(
-        not np.array_equal(a.y.values, b.y.values) for a, b in pairs
-    )
-
-
 # -- state, determinism, freezing -------------------------------------------
 
 def test_make_state_deterministic_per_seed():
@@ -419,6 +368,20 @@ def test_phi_epochs_leave_theta_streams_alone():
     for role in ("order", "mask", "eps", "noise"):
         assert (full.rngs[role].bit_generator.state
                 == ctrl.rngs[role].bit_generator.state), role
+
+
+def test_no_bilevel_gets_the_full_theta_budget_and_draws_noise():
+    # The single-loop control steps theta as often as the full method, and
+    # its joint epochs draw measurement noise like every other theta epoch.
+    cfg = tiny_cfg(noise_mode="fixed", noise_std=0.01, t_trn=2, t_val=2, rounds=2)
+    exp = build_experiment(cfg, TINY_SPEC)
+    full = run_training(exp, mode="full")
+    joint = run_training(exp, mode="no-bilevel")
+    assert joint.adam_theta.t == full.adam_theta.t
+    warm = make_state(cfg)
+    pretrain(warm, exp.train_scenes, exp.train_masks)
+    assert (joint.rngs["noise"].bit_generator.state
+            != warm.rngs["noise"].bit_generator.state)
 
 
 def test_fresh_deviation_map_starts_near_prior_sigma():
@@ -584,6 +547,36 @@ def test_resume_matches_uninterrupted_run(tmp_path):
                                 resumed.phi.parameters()):
         assert np.array_equal(ta.data, tb.data), n
     assert straight.log == resumed.log
+
+
+def test_no_gst_resume_matches_uninterrupted_run(tmp_path):
+    cfg = tiny_cfg(rounds=3)
+    exp = build_experiment(cfg, TINY_SPEC)
+    straight = run_training(exp, mode="no-gst")
+
+    short = dataclasses.replace(exp, cfg=dataclasses.replace(cfg, rounds=1))
+    part = run_training(short, mode="no-gst")
+    assert 0 < part.epoch < straight.epoch
+    save_state(part, tmp_path / "mid.ckp")
+    resumed = load_state(tmp_path / "mid.ckp")
+    resumed.cfg = cfg  # restore the full budget
+    train_regime(resumed, exp.train_scenes, exp.val_scenes, exp.train_masks)
+
+    ba, bb = state_blobs(straight), state_blobs(resumed)
+    assert set(ba) == set(bb)
+    for k, v in ba.items():
+        if isinstance(v, np.ndarray):
+            assert np.array_equal(v, bb[k]), k
+        else:
+            assert v == bb[k], k
+
+
+def test_checkpoint_records_the_regime(tmp_path):
+    exp = build_experiment(tiny_cfg(), TINY_SPEC)
+    save_state(run_training(exp, mode="fixed-variance", fixed_g=0.3), tmp_path / "fv.ckp")
+    assert load_state(tmp_path / "fv.ckp").regime == {
+        "mode": "fixed-variance", "fixed_g": 0.3,
+    }
 
 
 def test_state_blobs_structure_and_corruption_detection():
