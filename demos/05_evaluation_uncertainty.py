@@ -10,7 +10,6 @@ are identical and grows where reconstructions disagree.
 import os
 import tempfile
 
-
 from casskit.harness import (
     ScenarioSpec, build_experiment, evaluate, run_training, uncertainty_maps,
 )
@@ -35,10 +34,11 @@ for label, state in (("trained", trained), ("untrained", fresh)):
     print(f"{label:9s}: psnr {agg['psnr_mean']:6.2f} +- {agg['psnr_std']:.2f} dB   "
           f"ssim {agg['ssim_mean']:.4f}   ({agg['n']} trials)")
 
-out = os.path.join(tempfile.mkdtemp(prefix="casskit_demo_"), "maps")
-maps = uncertainty_maps(trained, exp, out_dir=out)
-for scene_id, (var, mean) in enumerate(maps):
-    print(f"scene {scene_id}: variance mean {var.mean():.3e}, "
-          f"hottest pixel {var.max():.3e}")
-print(f"wrote cubes, per-band PGM images, and stats to {out}")
-print(sorted(os.listdir(out))[:6], "...")
+with tempfile.TemporaryDirectory(prefix="casskit_demo_") as tmp:
+    out = os.path.join(tmp, "maps")
+    maps = uncertainty_maps(trained, exp, out_dir=out)
+    for scene_id, (var, mean) in enumerate(maps):
+        print(f"scene {scene_id}: variance mean {var.mean():.3e}, "
+              f"hottest pixel {var.max():.3e}")
+    print(f"wrote cubes, per-band PGM images, and stats to {out}")
+    print(sorted(os.listdir(out))[:6], "...")

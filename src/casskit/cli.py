@@ -20,7 +20,7 @@ import numpy as np
 
 from . import harness, io
 from .maskmodel import NoisePrior, build_mask_sets, realize_mask, synthesize_clean_mask
-from .trainer import load_state, save_state, train_regime
+from .trainer import config_text, load_state, save_state, train_regime
 
 __all__ = ["main"]
 
@@ -83,6 +83,17 @@ def _cmd_gen_masks(args):
     return 0
 
 
+def _check_resume_config(cfg, saved):
+    """Refuse to resume on other data or budgets than the checkpoint's."""
+    ours, theirs = io.parse_config(config_text(cfg)), io.parse_config(config_text(saved))
+    keys = sorted(k for k in ours if ours[k] != theirs[k])
+    if keys:
+        raise io.ConfigError(
+            "--resume: config differs from the checkpoint's in "
+            + ", ".join(f"{k} (given {ours[k]}, checkpoint {theirs[k]})" for k in keys)
+        )
+
+
 def _cmd_train(args):
     cfg, spec = _read_config(args.config)
     _apply_seed(cfg, args)
@@ -90,6 +101,7 @@ def _cmd_train(args):
     if args.resume:
         # the checkpoint's own regime and budgets; --mode does not apply
         state = load_state(args.resume)
+        _check_resume_config(cfg, state.cfg)
         train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
     else:
         state = harness.run_training(exp, mode=args.mode)

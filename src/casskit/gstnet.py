@@ -3,13 +3,15 @@
 Maps a coding mask to a strictly positive map ``g`` of the same shape,
 read as the standard deviation of each mask pixel's fabrication error.
 Pipeline: two 3x3 conv+relu stages embed the mask; two 1x1 projections
-form an all-pairs pixel affinity E = H1^T H2 / C'; a one-hop graph pass
-over E with the raw mask as node features gates the embedding
-(attention = sigmoid(E m W) + 1, kept >= 1 so gating never suppresses a
-pixel below its embedding); a final 1x1 conv plus softplus yields g > 0.
+H1, H2 (C' x N for N mask pixels) define an all-pairs pixel affinity
+E = H1^T H2 / C'; a one-hop graph pass over E with the raw mask m as
+node features gates the embedding (attention = sigmoid(E m W) + 1, kept
+>= 1 so gating never suppresses a pixel below its embedding); a final
+1x1 conv plus softplus yields g > 0.
 
-The affinity matrix is N x N for N mask pixels, so inputs are capped at
-N <= 4096 (64 x 64); larger masks should be processed as crops.
+E only ever multiplies m, so the pass is computed as H1^T (H2 m) / C'
+and the N x N matrix is never formed: time and memory grow linearly in
+N, and masks of any size are accepted.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from .ndgrad import (
     xavier_uniform,
 )
 
-__all__ = ["GstParams", "ResourceLimitError", "N_LIMIT", "gst_init", "gst_forward"]
-
-N_LIMIT = 4096
-
-
-class ResourceLimitError(RuntimeError):
-    """Input would allocate an affinity matrix beyond the supported size."""
+__all__ = ["GstParams", "gst_init", "gst_forward"]
 
 
 @dataclass
@@ -126,11 +122,6 @@ def gst_forward(m, params):
         raise ShapeError(f"mask must be 2-D, got shape {mv.shape}")
     h, w = mv.shape
     n = h * w
-    if n > N_LIMIT:
-        raise ResourceLimitError(
-            f"mask has {n} pixels; the all-pairs affinity supports at most "
-            f"{N_LIMIT} (e.g. 64x64). Process larger masks as crops."
-        )
     c = params.channels
     cp = params.proj_channels
 
@@ -142,10 +133,10 @@ def gst_forward(m, params):
     h2 = conv2d(h0, params.proj2_w, params.proj2_b)
     h1f = reshape(h1, (cp, n))
     h2f = reshape(h2, (cp, n))
-    affinity = mul(matmul(transpose(h1f), h2f), 1.0 / cp)
-
     nodes = Tensor(mv.reshape(n, 1))
-    gate = sigmoid(matmul(matmul(affinity, nodes), params.gcn_w))
+    # E m = H1^T (H2 m) / C', without forming the N x N affinity E
+    msg = matmul(transpose(h1f), mul(matmul(h2f, nodes), 1.0 / cp))
+    gate = sigmoid(matmul(msg, params.gcn_w))
     att = add(gate, 1.0)
     att_chw = reshape(transpose(att), (c, h, w))
 

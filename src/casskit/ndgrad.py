@@ -4,7 +4,13 @@ Tape style: every operation returns a new :class:`Tensor` holding the
 result value, references to the parent tensors it was computed from, and a
 closure that routes the output gradient back to those parents.  Calling
 :func:`backward` on a scalar root runs the closures in reverse topological
-order and accumulates gradients into the leaves.
+order, handing each one its output's gradient as the argument, and
+accumulates gradients into the leaves.
+
+A closure references its parents and never its own output, so the tape
+is acyclic: every edge points from a result to its inputs.  A graph is
+freed by reference counting as soon as its root is dropped; the cyclic
+garbage collector never has to find it.
 
 The op set is deliberately small: the pointwise family (add, mul, neg,
 relu, sigmoid, softplus, log, clamp01), strict 2-D matmul, same-padded
@@ -152,52 +158,42 @@ def _acc(t, g):
 def add(a, b):
     a, b = _lift(a), _lift(b)
     _binary_shapes(a, b, "add")
-    out = Tensor(a.data + b.data, (a, b))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         _acc(a, g)
         _acc(b, g)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data + b.data, (a, b), _bw)
 
 
 def mul(a, b):
     a, b = _lift(a), _lift(b)
     _binary_shapes(a, b, "mul")
-    out = Tensor(a.data * b.data, (a, b))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         _acc(a, g * b.data)
         _acc(b, g * a.data)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data * b.data, (a, b), _bw)
 
 
 def neg(a):
     a = _lift(a)
-    out = Tensor(-a.data, (a,))
 
-    def _bw():
-        a.grad -= out.grad
+    def _bw(g):
+        a.grad -= g
 
-    out._backward = _bw
-    return out
+    return Tensor(-a.data, (a,), _bw)
 
 
 def relu(a):
     a = _lift(a)
-    out = Tensor(np.maximum(a.data, 0.0), (a,))
     mask = a.data > 0.0  # subgradient 0 at exactly 0
 
-    def _bw():
-        a.grad += out.grad * mask
+    def _bw(g):
+        a.grad += g * mask
 
-    out._backward = _bw
-    return out
+    return Tensor(np.maximum(a.data, 0.0), (a,), _bw)
 
 
 def _sigmoid_val(x):
@@ -213,49 +209,41 @@ def _sigmoid_val(x):
 def sigmoid(a):
     a = _lift(a)
     s = _sigmoid_val(a.data)
-    out = Tensor(s, (a,))
 
-    def _bw():
-        a.grad += out.grad * s * (1.0 - s)
+    def _bw(g):
+        a.grad += g * s * (1.0 - s)
 
-    out._backward = _bw
-    return out
+    return Tensor(s, (a,), _bw)
 
 
 def softplus(a):
     a = _lift(a)
-    out = Tensor(np.logaddexp(0.0, a.data), (a,))
 
-    def _bw():
-        a.grad += out.grad * _sigmoid_val(a.data)
+    def _bw(g):
+        a.grad += g * _sigmoid_val(a.data)
 
-    out._backward = _bw
-    return out
+    return Tensor(np.logaddexp(0.0, a.data), (a,), _bw)
 
 
 def log(a):
     a = _lift(a)
     if np.any(a.data <= 0.0):
         raise ValueError("log: nonpositive element in operand")
-    out = Tensor(np.log(a.data), (a,))
 
-    def _bw():
-        a.grad += out.grad / a.data
+    def _bw(g):
+        a.grad += g / a.data
 
-    out._backward = _bw
-    return out
+    return Tensor(np.log(a.data), (a,), _bw)
 
 
 def clamp01(a):
     a = _lift(a)
-    out = Tensor(np.clip(a.data, 0.0, 1.0), (a,))
     mask = (a.data > 0.0) & (a.data < 1.0)  # zero gradient at and beyond bounds
 
-    def _bw():
-        a.grad += out.grad * mask
+    def _bw(g):
+        a.grad += g * mask
 
-    out._backward = _bw
-    return out
+    return Tensor(np.clip(a.data, 0.0, 1.0), (a,), _bw)
 
 
 def matmul(a, b):
@@ -269,15 +257,27 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul: inner dimensions differ, {a.data.shape} vs {b.data.shape}"
         )
-    out = Tensor(a.data @ b.data, (a, b))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         a.grad += g @ b.data.T
         b.grad += a.data.T @ g
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data @ b.data, (a, b), _bw)
+
+
+def _im2col(a, k):
+    """[C, H, W] -> [C*k*k, H*W]: the k*k same-padded taps of every pixel."""
+    c, h, w = a.shape
+    if k == 1:
+        return a.reshape(c, h * w)
+    p = (k - 1) // 2
+    ap = np.zeros((c, h + 2 * p, w + 2 * p))
+    ap[:, p : p + h, p : p + w] = a
+    cols = np.empty((c, k, k, h, w))
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = ap[:, i : i + h, j : j + w]
+    return cols.reshape(c * k * k, h * w)
 
 
 def conv2d(x, kernel, bias):
@@ -285,8 +285,9 @@ def conv2d(x, kernel, bias):
 
     x is [C_in, H, W], kernel [C_out, C_in, k, k] with k odd, bias [C_out].
     Output is [C_out, H, W].  Implemented by unrolling the k*k taps into
-    columns and doing one matmul; the backward scatters the column
-    gradients back through the same unrolling.
+    columns and doing one matmul.  The input gradient is the same kind of
+    correlation, of the output gradient with the spatially flipped,
+    in/out-transposed kernel, so the backward reuses the unrolling.
     """
     for t in (x, kernel, bias):
         if not isinstance(t, Tensor):
@@ -306,76 +307,55 @@ def conv2d(x, kernel, bias):
     if bias.data.shape != (cout,):
         raise ShapeError(f"conv2d bias must be [{cout}], got {bias.data.shape}")
 
-    p = (kh - 1) // 2
-    xp = np.zeros((cin, h + 2 * p, w + 2 * p))
-    xp[:, p : p + h, p : p + w] = x.data
-    cols = np.empty((cin, kh, kw, h, w))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + h, j : j + w]
-    cols2 = cols.reshape(cin * kh * kw, h * w)
+    cols = _im2col(x.data, kh)
     wmat = kernel.data.reshape(cout, cin * kh * kw)
-    val = (wmat @ cols2 + bias.data[:, None]).reshape(cout, h, w)
-    out = Tensor(val, (x, kernel, bias))
+    val = (wmat @ cols + bias.data[:, None]).reshape(cout, h, w)
 
-    def _bw():
-        g = out.grad.reshape(cout, h * w)
-        bias.grad += g.sum(axis=1)
-        kernel.grad += (g @ cols2.T).reshape(kernel.data.shape)
-        gcols = (wmat.T @ g).reshape(cin, kh, kw, h, w)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i : i + h, j : j + w] += gcols[:, i, j]
-        x.grad += gxp[:, p : p + h, p : p + w]
+    def _bw(g):
+        g2 = g.reshape(cout, h * w)
+        bias.grad += g2.sum(axis=1)
+        kernel.grad += (g2 @ cols.T).reshape(kernel.data.shape)
+        wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        x.grad += (wflip @ _im2col(g, kh)).reshape(cin, h, w)
 
-    out._backward = _bw
-    return out
+    return Tensor(val, (x, kernel, bias), _bw)
 
 
 def tsum(a):
     a = _lift(a)
-    out = Tensor(a.data.sum(), (a,))
 
-    def _bw():
-        a.grad += out.grad  # 0-d broadcasts over the operand
+    def _bw(g):
+        a.grad += g  # 0-d broadcasts over the operand
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data.sum(), (a,), _bw)
 
 
 def tmean(a):
     a = _lift(a)
     n = a.data.size
-    out = Tensor(a.data.mean(), (a,))
 
-    def _bw():
-        a.grad += out.grad / n
+    def _bw(g):
+        a.grad += g / n
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data.mean(), (a,), _bw)
 
 
 def reshape(a, shape):
-    out = Tensor(a.data.reshape(shape), (a,))
 
-    def _bw():
-        a.grad += out.grad.reshape(a.data.shape)
+    def _bw(g):
+        a.grad += g.reshape(a.data.shape)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data.reshape(shape), (a,), _bw)
 
 
 def transpose(a):
     if a.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D operand, got {a.data.shape}")
-    out = Tensor(a.data.T, (a,))
 
-    def _bw():
-        a.grad += out.grad.T
+    def _bw(g):
+        a.grad += g.T
 
-    out._backward = _bw
-    return out
+    return Tensor(a.data.T, (a,), _bw)
 
 
 def stack(tensors):
@@ -387,14 +367,12 @@ def stack(tensors):
     for t in ts[1:]:
         if t.data.shape != shape0:
             raise ShapeError(f"stack: shape mismatch {shape0} vs {t.data.shape}")
-    out = Tensor(np.stack([t.data for t in ts]), tuple(ts))
 
-    def _bw():
+    def _bw(g):
         for i, t in enumerate(ts):
-            t.grad += out.grad[i]
+            t.grad += g[i]
 
-    out._backward = _bw
-    return out
+    return Tensor(np.stack([t.data for t in ts]), tuple(ts), _bw)
 
 
 def _toposort(root):
@@ -435,7 +413,7 @@ def backward(root):
     root.grad[...] = 1.0
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def zero_grad(tensors):

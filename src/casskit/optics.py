@@ -203,17 +203,14 @@ def encode_tape(x, m, d=2):
     y = np.zeros((h, w + d * (bands - 1)))
     for i in range(bands):
         y[:, d * i : d * i + w] += xv[:, :, i] * m.data
-    out = Tensor(y, (m,))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         gm = np.zeros_like(m.data)
         for i in range(bands):
             gm += xv[:, :, i] * g[:, d * i : d * i + w]
         m.grad += gm
 
-    out._backward = _bw
-    return out
+    return Tensor(y, (m,), _bw)
 
 
 def init_input_tape(y, m, d, bands):
@@ -234,18 +231,15 @@ def init_input_tape(y, m, d, bands):
     val = np.empty((bands, h, w))
     for i in range(bands):
         val[i] = y.data[:, d * i : d * i + w] * m.data
-    out = Tensor(val, (y, m))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         gm = np.zeros_like(m.data)
         for i in range(bands):
             y.grad[:, d * i : d * i + w] += g[i] * m.data
             gm += g[i] * y.data[:, d * i : d * i + w]
         m.grad += gm
 
-    out._backward = _bw
-    return out
+    return Tensor(val, (y, m), _bw)
 
 
 def cube_to_chw(values):

@@ -17,7 +17,7 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # demo 05 writes its maps to a temp dir
+    env = dict(os.environ, TMPDIR=str(tmp_path))
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run(
@@ -25,3 +25,4 @@ def test_demo_runs(script, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not any(tmp_path.iterdir()), "demo left files in the temp dir"

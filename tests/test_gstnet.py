@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from casskit.gstnet import (
-    N_LIMIT,
-    ResourceLimitError,
-    gst_forward,
-    gst_init,
-)
-from casskit.ndgrad import ShapeError, backward, grad_check, tsum
+from casskit.gstnet import gst_forward, gst_init
+from casskit.ndgrad import ShapeError, Tensor, backward, grad_check, mul, tsum
 
 RNG = np.random.default_rng(99)
 
@@ -109,14 +104,63 @@ def test_gradients_reach_every_parameter():
         assert np.any(t.grad != 0.0), f"no gradient reaches {name}"
 
 
-def test_mask_size_limit():
-    params = small_params()
-    big = np.zeros((N_LIMIT // 64 + 1, 64))  # one row past the limit
-    assert big.size > N_LIMIT
-    with pytest.raises(ResourceLimitError):
-        gst_forward(big, params)
-    # exactly at the limit is allowed (shape check only; keep it small here)
-    gst_forward(np.zeros((4, 4)), params)
+def _conv(x, w, b):
+    # same-padded cross-correlation by direct loops over the taps
+    k = w.shape[2]
+    p = k // 2
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
+    out = np.broadcast_to(b[:, None, None], (w.shape[0], h, wd)).copy()
+    for i in range(k):
+        for j in range(k):
+            out += np.tensordot(w[:, :, i, j], xp[:, i : i + h, j : j + wd], axes=1)
+    return out
+
+
+def dense_reference(mv, params):
+    """The network with its N x N affinity formed explicitly."""
+    p = {name: t.data for name, t in params.parameters()}
+    h, w = mv.shape
+    n = h * w
+    h0 = np.maximum(_conv(mv[None], p["embed1_w"], p["embed1_b"]), 0.0)
+    h0 = np.maximum(_conv(h0, p["embed2_w"], p["embed2_b"]), 0.0)
+    h1 = _conv(h0, p["proj1_w"], p["proj1_b"]).reshape(-1, n)
+    h2 = _conv(h0, p["proj2_w"], p["proj2_b"]).reshape(-1, n)
+    affinity = h1.T @ h2 / h1.shape[0]
+    gate = 1.0 / (1.0 + np.exp(-((affinity @ mv.reshape(n, 1)) @ p["gcn_w"])))
+    gated = h0 * (gate + 1.0).T.reshape(h0.shape)
+    z = _conv(gated, p["out_w"], p["out_b"]).reshape(h, w)
+    return np.logaddexp(0.0, z)
+
+
+def test_graph_pass_matches_dense_affinity():
+    params = small_params(seed=3)
+    rng = np.random.default_rng(3)
+    for name, t in params.parameters():
+        if name.endswith("_b"):
+            t.data[...] = rng.normal(scale=0.3, size=t.data.shape)
+    m = rng.random((5, 7))
+    np.testing.assert_allclose(
+        gst_forward(m, params).data, dense_reference(m, params), rtol=1e-12, atol=1e-12
+    )
+    weights = Tensor(rng.normal(size=m.shape))
+
+    def builder(ps):
+        return tsum(mul(gst_forward(m, params), weights))
+
+    assert grad_check(builder, [t for _, t in params.parameters()]) < 1e-7
+
+
+def test_mask_beyond_4096_pixels_runs_forward_and_backward():
+    params = small_params(seed=4)
+    m = binary_mask(65, 65, seed=4)
+    g = gst_forward(m, params)
+    assert g.shape == (65, 65) and m.size > 4096
+    assert np.all(g.data > 0.0)
+    backward(tsum(g))
+    for name, t in params.parameters():
+        assert np.all(np.isfinite(t.grad)), name
+        assert np.any(t.grad != 0.0), f"no gradient reaches {name}"
 
 
 def test_mask_must_be_2d():

@@ -425,6 +425,19 @@ def test_cli_train_resume_without_regime_names_the_blob(cli_env, tmp_path, capsy
     assert "meta/regime" in capsys.readouterr().err
 
 
+def test_cli_train_resume_rejects_another_config(cli_env, tmp_path, capsys):
+    cfg = str(cli_env["cfg"])
+    done = tmp_path / "seed5"
+    assert main(["train", "--config", cfg, "--seed", "5", "--out-dir", str(done)]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--config", cfg, "--seed", "6", "--resume",
+               str(done / "checkpoint.ckp"), "--out-dir", str(tmp_path / "seed6")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "given 6, checkpoint 5" in err
+    assert not (tmp_path / "seed6").exists()
+
+
 def test_cli_ablate(tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(run_config_text(tiny_cfg(), tiny_spec()))

@@ -257,16 +257,46 @@ def test_conv2d_rejects_even_kernel():
                Tensor(np.zeros(1)))
 
 
-def test_conv2d_grads_match_finite_differences():
-    x = RNG.normal(size=(2, 4, 4))
-    w = RNG.normal(size=(2, 2, 3, 3)) * 0.5
-    b = RNG.normal(size=2)
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_grads_match_finite_differences(k):
+    # non-square input and C_in != C_out, so a flipped or transposed
+    # kernel in the input gradient cannot cancel out
+    x = RNG.normal(size=(2, 5, 4))
+    w = RNG.normal(size=(3, 2, k, k)) * 0.5
+    b = RNG.normal(size=3)
     params = [Tensor(x), Tensor(w), Tensor(b)]
 
     def builder(ps):
         return tsum(mul(conv2d(ps[0], ps[1], ps[2]), conv2d(ps[0], ps[1], ps[2])))
 
     assert grad_check(builder, params) < 1e-7
+
+
+def naive_conv2d_adjoint(g, w, shape):
+    """Adjoint of the bias-free naive_conv2d in x: scatter each output tap back."""
+    cin, h, wid = shape
+    cout, _, k, _ = w.shape
+    p = k // 2
+    gx = np.zeros(shape)
+    for co in range(cout):
+        for ci in range(cin):
+            for u in range(k):
+                for v in range(k):
+                    for i in range(h):
+                        for j in range(wid):
+                            ii, jj = i + u - p, j + v - p
+                            if 0 <= ii < h and 0 <= jj < wid:
+                                gx[ci, ii, jj] += g[co, i, j] * w[co, ci, u, v]
+    return gx
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_input_grad_is_adjoint_of_naive(k):
+    x = Tensor(RNG.normal(size=(2, 6, 5)))
+    w = RNG.normal(size=(3, 2, k, k))
+    gout = RNG.normal(size=(3, 6, 5))
+    backward(tsum(mul(conv2d(x, Tensor(w), Tensor(RNG.normal(size=3))), Tensor(gout))))
+    np.testing.assert_allclose(x.grad, naive_conv2d_adjoint(gout, w, x.shape), atol=1e-12)
 
 
 # -- shape ops --------------------------------------------------------------

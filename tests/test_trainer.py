@@ -6,6 +6,7 @@ and determinism contracts, which are all bitwise.
 """
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -240,6 +241,25 @@ def test_total_loss_adds_weighted_entropy():
     assert float(total_f.data) == pytest.approx(
         float(recon_f.data) - 1e-2 * ent, rel=1e-12
     )
+
+
+def test_loss_graph_frees_without_the_cycle_collector():
+    # a backward closure that captured its own output would make every
+    # step's graph a reference cycle, left for the cyclic collector
+    cfg = tiny_cfg(beta=1e-2)
+    state = make_state(cfg)
+    scenes, masks = tiny_problem(cfg)
+    rng = np.random.default_rng(0)
+    gc.collect()
+    gc.disable()
+    try:
+        total, recon, _ = total_loss(state.theta, state.phi, scenes[:2], masks[0],
+                                     cfg, rng)
+        backward(total)
+        del total, recon
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_total_loss_without_gst_returns_no_entropy():
