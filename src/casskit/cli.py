@@ -84,13 +84,20 @@ def _cmd_gen_masks(args):
 
 
 def _check_resume_config(cfg, saved):
-    """Refuse to resume on other data or budgets than the checkpoint's."""
+    """Refuse to resume on other data or settings than the checkpoint's.
+
+    Only ``rounds`` may differ, and only upward: that trains the run further.
+    """
     ours, theirs = io.parse_config(config_text(cfg)), io.parse_config(config_text(saved))
-    keys = sorted(k for k in ours if ours[k] != theirs[k])
+    keys = sorted(
+        k for k in ours
+        if ours[k] != theirs[k] and not (k == "rounds" and cfg.rounds > saved.rounds)
+    )
     if keys:
         raise io.ConfigError(
             "--resume: config differs from the checkpoint's in "
             + ", ".join(f"{k} (given {ours[k]}, checkpoint {theirs[k]})" for k in keys)
+            + "; only rounds may change, and only upward"
         )
 
 
@@ -99,9 +106,10 @@ def _cmd_train(args):
     _apply_seed(cfg, args)
     exp = harness.build_experiment(cfg, spec)
     if args.resume:
-        # the checkpoint's own regime and budgets; --mode does not apply
+        # the checkpoint's own regime; --mode does not apply
         state = load_state(args.resume)
         _check_resume_config(cfg, state.cfg)
+        state.cfg = cfg
         train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
     else:
         state = harness.run_training(exp, mode=args.mode)
@@ -189,7 +197,9 @@ def _build_parser():
         help="training regime",
     )
     q.add_argument(
-        "--resume", help="checkpoint to continue in its own regime (ignores --mode)"
+        "--resume",
+        help="checkpoint to continue in its own regime (ignores --mode); the "
+        "config must match the checkpoint's, except that rounds may grow",
     )
     q.set_defaults(fn=_cmd_train)
 

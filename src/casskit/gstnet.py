@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ndgrad import (
-    ShapeError,
     Tensor,
     add,
     conv2d,
@@ -34,6 +33,7 @@ from .ndgrad import (
     transpose,
     xavier_uniform,
 )
+from .optics import _mask_values
 
 __all__ = ["GstParams", "gst_init", "gst_forward"]
 
@@ -113,13 +113,11 @@ def gst_init(channels=8, proj_channels=4, rng=None, embed_kernel=3):
 
 
 def gst_forward(m, params):
-    """Mask (H x W array) -> per-pixel deviation map g (H x W Tensor, g > 0).
+    """Mask (Mask or H x W array) -> per-pixel deviation map g (H x W Tensor, g > 0).
 
     With all parameters zero the output is softplus(0) = ln 2 everywhere.
     """
-    mv = m.values if hasattr(m, "values") else np.asarray(m, dtype=np.float64)
-    if mv.ndim != 2:
-        raise ShapeError(f"mask must be 2-D, got shape {mv.shape}")
+    mv = _mask_values(m)
     h, w = mv.shape
     n = h * w
     c = params.channels

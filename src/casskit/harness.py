@@ -29,8 +29,11 @@ import numpy as np
 
 from . import io
 from .backbone import srn_init
-from .gstnet import gst_init
+from .gstnet import gst_forward, gst_init
 from .maskmodel import (
+    PRIOR_DEFAULT,
+    PRIOR_STDNORM,
+    PRIOR_WIDE,
     MaskSet,
     NoisePrior,
     build_mask_sets,
@@ -253,10 +256,7 @@ def evaluate(state, exp, label):
     for trial in range(spec.trials):
         m = exp.test_masks[int(trial_rng.integers(len(exp.test_masks)))]
         for scene_id, x in enumerate(exp.test_scenes):
-            if spec.eval_noise_std > 0:
-                y = encode(x, m, cfg.d, noise_std=spec.eval_noise_std, rng=noise_rng)
-            else:
-                y = encode(x, m, cfg.d)
+            y = encode(x, m, cfg.d, noise_std=spec.eval_noise_std, rng=noise_rng)
             xhat = reconstruct_scene(state.theta, y, m)
             report.add(scene_id, trial, psnr(xhat, x.values), ssim(xhat, x.values))
     return report
@@ -333,11 +333,7 @@ def run_ablation(kind, cfg, spec, out_dir=None, g0_values=(0.0, 0.1), priors=Non
             _one(f"fixed-variance-g{g0:g}", "fixed-variance", fixed_g=g0)
     else:
         if priors is None:
-            priors = (
-                NoisePrior(0.006, 0.005),
-                NoisePrior(0.006, 0.1),
-                NoisePrior(0.0, 1.0),
-            )
+            priors = (PRIOR_DEFAULT, PRIOR_WIDE, PRIOR_STDNORM)
         for p in priors:
             _one(f"prior-mu{p.mu:g}-sigma{p.sigma:g}", "full", prior=p)
     return results
@@ -488,7 +484,7 @@ def _end_to_end_check(h=1e-5):
 
     def builder(_ps):
         total, _recon, _ent = total_loss(
-            theta, phi, scenes, mask, cfg, eps_list=eps_list
+            theta, gst_forward(mask, phi), scenes, mask, cfg, eps_list=eps_list
         )
         return total
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ndgrad import ShapeError, Tensor, add, clamp01, log, mul, tmean
-from .optics import Mask
+from .optics import Mask, _mask_values
 
 __all__ = [
     "NoisePrior",
@@ -100,7 +100,7 @@ def draw_noise(prior, shape, rng):
 
 def realize_mask(clean, prior, rng):
     """Fabricate: clean pattern plus Gaussian error, clamped to [0, 1]."""
-    cv = clean.values if isinstance(clean, Mask) else np.asarray(clean, dtype=np.float64)
+    cv = _mask_values(clean)
     z = draw_noise(prior, cv.shape, rng)
     return Mask(np.clip(cv + z, 0.0, 1.0))
 
@@ -113,9 +113,7 @@ def sample_perturbed(m, g, eps=None, rng=None, eps_mean=0.0, eps_std=1.0):
     ``g``; a plain-array ``g`` gives a plain-array result.  ``eps``
     defaults to an N(eps_mean, eps_std^2) draw from ``rng``.
     """
-    mv = m.values if isinstance(m, Mask) else np.asarray(m, dtype=np.float64)
-    if mv.ndim != 2:
-        raise ShapeError(f"mask must be 2-D, got shape {mv.shape}")
+    mv = _mask_values(m)
     gshape = g.data.shape if isinstance(g, Tensor) else np.shape(g)
     if gshape != mv.shape and gshape != ():
         raise ShapeError(f"deviation map shape {gshape} does not match mask {mv.shape}")
@@ -156,7 +154,7 @@ def mask_histogram(m, bins):
     """
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
-    mv = m.values if isinstance(m, Mask) else np.asarray(m, dtype=np.float64)
+    mv = _mask_values(m)
     counts, edges = np.histogram(mv, bins=bins, range=(0.0, 1.0))
     return counts, edges
 
@@ -170,7 +168,7 @@ def build_mask_sets(base, crop_hw, k_train, k_test, rng, max_redraw=1000):
     the redraw budget runs out and a ValueError explains why.  k_test may
     be 0 when no held-out masks are wanted.
     """
-    bv = base.values if isinstance(base, Mask) else np.asarray(base, dtype=np.float64)
+    bv = _mask_values(base)
     ch, cw = crop_hw
     bh, bw = bv.shape
     if ch > bh or cw > bw:

@@ -20,9 +20,14 @@ state loaded from a checkpoint continues in its own regime by the same
 call.  The controls get the full method's theta budget,
 ``t_init + rounds * t_trn`` epochs.
 
+The epoch helper alone decides the deviation map g of each batch: on the
+tape from phi when phi steps, a frozen copy of it, a constant, or none
+when only theta steps.  The losses only score the map they are given.
 Each loss sample redraws the mask: m' = clamp01(m + g * eps), re-encodes
 the scene through m', and reconstructs from the windowed initialization,
 so gradients reach phi through both the measurement and the conditioning.
+Training measurement noise is N(0, ``noise_std``^2) per detector pixel;
+``noise_std = 0`` draws none.
 
 Every random draw comes from a role-named generator stream (data order,
 mask choice, eps, measurement noise), so runs are reproducible and a
@@ -47,8 +52,8 @@ from .gstnet import GstParams, gst_forward, gst_init
 from .maskmodel import entropy_term, sample_perturbed
 from .ndgrad import Tensor, add, backward, mul, neg, tmean, tsum
 from .optics import (
-    HsiCube,
-    Mask,
+    _cube_values,
+    _mask_values,
     cube_to_chw,
     chw_to_cube,
     encode_tape,
@@ -101,13 +106,10 @@ class TrainConfig:
     # data / optics
     bands: int = 4
     d: int = 2
-    noise_mode: str = "none"  # none | fixed | uniform
-    noise_std: float = 0.0
-    noise_max: float = 0.05
+    noise_std: float = 0.0  # training measurement noise; 0 draws none
     # mask fabrication prior and perturbation draw
     prior_mu: float = 0.006
     prior_sigma: float = 0.005
-    eps_mean: float = 0.0
     eps_std: float = 1.0
     # networks
     backbone_channels: int = 16
@@ -128,7 +130,6 @@ class TrainConfig:
     loss_scale: str = "mean"  # mean | paper (dataset-size / batch prefactor, sum over pixels)
     entropy_flip: bool = False  # subtract the entropy term instead of adding it
     pretrain_perturb: bool = True  # perturb masks during pretraining too
-    perturb_encode: bool = True  # re-encode measurements through the perturbed mask
     seed: int = 0
 
     def validate(self):
@@ -136,10 +137,8 @@ class TrainConfig:
             raise ValueError(f"bands must be >= 1, got {self.bands}")
         if self.d < 0:
             raise ValueError(f"dispersion step must be >= 0, got {self.d}")
-        if self.noise_mode not in ("none", "fixed", "uniform"):
-            raise ValueError(f"unknown noise mode {self.noise_mode!r}")
-        if self.noise_std < 0 or self.noise_max < 0:
-            raise ValueError("noise levels must be >= 0")
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.prior_sigma < 0 or self.eps_std < 0:
             raise ValueError("spreads must be >= 0")
         if min(self.backbone_channels, self.gst_channels, self.gst_proj_channels) < 1:
@@ -210,65 +209,35 @@ class Adam(object):
             t.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def _scene_values(x):
-    return x.values if isinstance(x, HsiCube) else np.asarray(x, dtype=np.float64)
-
-
-def _mask_values(m):
-    return m.values if isinstance(m, Mask) else np.asarray(m, dtype=np.float64)
-
-
-def recon_loss(
-    theta,
-    phi,
-    batch,
-    mask,
-    cfg,
-    rng=None,
-    *,
-    g=None,
-    detach_gst=False,
-    eps_list=None,
-    noise_fields=None,
-    n_total=None,
-):
+def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
+               noise_fields=None, n_total=None):
     """Monte-Carlo reconstruction loss over one batch and one mask.
 
-    When ``phi`` is given (or ``g`` directly), each sample gets its own
-    perturbed mask; otherwise the raw mask is used.  ``detach_gst`` cuts
-    the deviation map off the tape so only theta receives gradients, a
-    cheap way to freeze phi during lower-level epochs.  ``eps_list`` and
-    ``noise_fields`` override the random draws (tests, resumable loops).
-    Returns (loss, g); the default scaling is the mean over batch and
-    pixels, ``loss_scale="paper"`` uses the dataset-size / batch-size
-    prefactor on per-sample sums, with ``n_total`` the dataset size.
+    ``g`` is the per-pixel deviation map, a Tensor, or None for the raw
+    mask.  Each sample then draws its own perturbed mask
+    m' = clamp01(m + g * eps), encodes the scene through m' and
+    reconstructs from the windowed initialization, so the loss reaches
+    whatever ``g`` hangs from on the tape.  ``eps_list`` and
+    ``noise_fields`` override the draws from ``rng`` and add measurement
+    noise.  The default scaling is the mean over batch and pixels;
+    ``loss_scale="paper"`` uses the dataset-size / batch-size prefactor
+    on per-sample sums, with ``n_total`` the dataset size.
     """
-    scenes = [_scene_values(x) for x in batch]
+    scenes = [_cube_values(x) for x in batch]
     if not scenes:
         raise ValueError("empty batch")
     mv = _mask_values(mask)
-    if g is None and phi is not None:
-        g = gst_forward(mv, phi)
-    if g is not None and detach_gst and isinstance(g, Tensor):
-        g = Tensor(g.data)
     terms = []
     for i, xv in enumerate(scenes):
-        bands = xv.shape[2]
-        if g is not None:
-            if eps_list is not None:
-                eps = eps_list[i]
-            else:
-                if rng is None:
-                    raise ValueError("perturbed loss needs eps_list or an rng")
-                eps = cfg.eps_mean + cfg.eps_std * rng.standard_normal(mv.shape)
-            m_t = sample_perturbed(mv, g, eps=eps)
-        else:
+        if g is None:
             m_t = Tensor(mv)
-        enc_mask = m_t if (g is not None and cfg.perturb_encode) else Tensor(mv)
-        y = encode_tape(xv, enc_mask, cfg.d)
-        if noise_fields is not None and noise_fields[i] is not None:
+        else:
+            eps = None if eps_list is None else eps_list[i]
+            m_t = sample_perturbed(mask, g, eps=eps, rng=rng, eps_std=cfg.eps_std)
+        y = encode_tape(xv, m_t, cfg.d)
+        if noise_fields is not None:
             y = add(y, Tensor(noise_fields[i]))
-        x_in = init_input_tape(y, m_t, cfg.d, bands)
+        x_in = init_input_tape(y, m_t, cfg.d, xv.shape[2])
         xhat = reconstruct(x_in, theta)
         diff = add(xhat, neg(Tensor(cube_to_chw(xv))))
         sq = mul(diff, diff)
@@ -281,28 +250,28 @@ def recon_loss(
         scale = float(nb if n_total is None else n_total) / nb
     else:
         scale = 1.0 / nb
-    return mul(acc, scale), g
+    return mul(acc, scale)
 
 
-def total_loss(theta, phi, batch, mask, cfg, rng=None, *, eps_list=None,
+def total_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
                noise_fields=None, n_total=None):
-    """Reconstruction loss plus beta-weighted mask entropy.
+    """Reconstruction loss plus beta-weighted mask entropy of ``g``.
 
-    Returns (total, recon, mean_entropy_float).  With beta == 0 the total
-    IS the recon loss object, so the two are bit-identical.
+    Returns (total, recon, mean_entropy_float); the entropy is None when
+    ``g`` is.  With beta == 0 the total IS the recon loss object, so the
+    two are bit-identical.
     """
-    loss, g = recon_loss(
-        theta, phi, batch, mask, cfg, rng,
+    loss = recon_loss(
+        theta, g, batch, mask, cfg, rng,
         eps_list=eps_list, noise_fields=noise_fields, n_total=n_total,
     )
     if g is None:
         return loss, loss, None
-    ent_value = entropy_term(g.data if isinstance(g, Tensor) else g)
-    if cfg.beta == 0.0:
-        return loss, loss, ent_value
     ent = entropy_term(g)
-    weight = -cfg.beta if cfg.entropy_flip else cfg.beta
-    return add(loss, mul(ent, weight)), loss, ent_value
+    total = loss
+    if cfg.beta != 0.0:
+        total = add(loss, mul(ent, -cfg.beta if cfg.entropy_flip else cfg.beta))
+    return total, loss, float(ent.data)
 
 
 @dataclass
@@ -357,14 +326,12 @@ def _batches(scenes, batch, rng):
 
 
 def _draw_noise_fields(cfg, scenes, rng):
-    if cfg.noise_mode == "none":
+    if cfg.noise_std == 0.0:
         return None
     fields_ = []
     for xv in scenes:
-        h, w, bands = _scene_values(xv).shape
-        wy = w + cfg.d * (bands - 1)
-        std = cfg.noise_std if cfg.noise_mode == "fixed" else rng.uniform(0.0, cfg.noise_max)
-        fields_.append(rng.normal(0.0, std, size=(h, wy)))
+        h, w, bands = _cube_values(xv).shape
+        fields_.append(rng.normal(0.0, cfg.noise_std, size=(h, w + cfg.d * (bands - 1))))
     return fields_
 
 
@@ -381,11 +348,13 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
            phi=None, fixed_g=None):
     """One pass over ``scenes`` stepping theta, phi or both; logs one row.
 
-    Epochs that step phi score :func:`total_loss` through ``state.phi``.
-    Theta-only epochs score :func:`recon_loss` with the masks perturbed by
-    the frozen ``phi``, by the constant spread ``fixed_g``, or not at all.
-    Epochs that step only phi draw batch order, mask, eps and noise from
-    the ``phi_*`` streams; every other epoch draws from the theta streams.
+    This is where the deviation map g of each batch is decided.  Epochs
+    that step phi put ``gst_forward(m, state.phi)`` on the tape and score
+    :func:`total_loss`.  Theta-only epochs score :func:`recon_loss` with g
+    from the frozen ``phi`` taken off the tape, with the constant spread
+    ``fixed_g``, or with no perturbation at all.  Epochs that step only
+    phi draw batch order, mask, eps and noise from the ``phi_*`` streams;
+    every other epoch draws from the theta streams.
     """
     cfg = state.cfg
     scenes = list(scenes)
@@ -399,20 +368,21 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     for batch in _batches(scenes, cfg.batch, order):
         m = _pick_mask(masks, pick)
         noise = _draw_noise_fields(cfg, batch, noise_rng)
-        if lr_phi is None:
-            g = None
-            if fixed_g is not None:
-                g = Tensor(np.full(_mask_values(m).shape, fixed_g, dtype=np.float64))
-            loss, _ = recon_loss(
-                state.theta, phi, batch, m, cfg, eps, g=g, detach_gst=True,
-                noise_fields=noise, n_total=len(scenes),
-            )
+        if lr_phi is not None:
+            g = gst_forward(m, state.phi)
+        elif phi is not None:
+            g = Tensor(gst_forward(m, phi).data)
+        elif fixed_g is not None:
+            g = Tensor(np.full(_mask_values(m).shape, fixed_g, dtype=np.float64))
         else:
-            loss, _recon, ent = total_loss(
-                state.theta, state.phi, batch, m, cfg, eps,
-                noise_fields=noise, n_total=len(scenes),
-            )
-            ent_tot += float(ent)
+            g = None
+        if lr_phi is None:
+            loss = recon_loss(state.theta, g, batch, m, cfg, eps,
+                              noise_fields=noise, n_total=len(scenes))
+        else:
+            loss, _recon, ent = total_loss(state.theta, g, batch, m, cfg, eps,
+                                           noise_fields=noise, n_total=len(scenes))
+            ent_tot += ent
         backward(loss)
         if lr_theta is not None:
             state.adam_theta.step(lr_theta)

@@ -33,7 +33,7 @@ from casskit.io import (
     parse_config,
     save_checkpoint,
 )
-from casskit.trainer import TrainConfig, state_blobs
+from casskit.trainer import TrainConfig, make_state, state_blobs, state_from_blobs
 
 
 def tiny_cfg(**kw):
@@ -86,6 +86,21 @@ def test_load_config_routes_between_dataclasses():
     assert cfg.bands == 5
     assert spec.trials == 3
     assert spec.scene_h == 8
+
+
+@pytest.mark.parametrize("line", [
+    "noise_mode=fixed", "noise_max=0.05", "eps_mean=0.0", "perturb_encode=true",
+])
+def test_deleted_config_keys_are_rejected_by_name(line):
+    # training noise is noise_std alone, eps is N(0, eps_std^2), and
+    # measurements are always re-encoded through the perturbed mask
+    key = line.partition("=")[0]
+    with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+        load_config(line + "\n")
+    blobs = state_blobs(make_state(tiny_cfg()))
+    blobs["meta/config"] += line + "\n"
+    with pytest.raises(ConfigError, match=key):
+        state_from_blobs(blobs)
 
 
 def test_load_config_empty_gives_defaults():
@@ -436,6 +451,47 @@ def test_cli_train_resume_rejects_another_config(cli_env, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "seed" in err and "given 6, checkpoint 5" in err
     assert not (tmp_path / "seed6").exists()
+
+
+def _write_cfg(path, **kw):
+    path.write_text(run_config_text(tiny_cfg(seed=5, **kw), tiny_spec()))
+    return str(path)
+
+
+def test_cli_train_resume_extends_rounds(tmp_path):
+    # a run trained for 1 round and resumed with rounds=3 ends where a
+    # straight 3-round run ends, in every regime
+    one = _write_cfg(tmp_path / "r1.cfg", rounds=1)
+    three = _write_cfg(tmp_path / "r3.cfg", rounds=3)
+    for mode in ("full", "no-gst", "no-bilevel", "fixed-variance"):
+        short, longer, straight = (tmp_path / mode / n for n in ("short", "longer", "straight"))
+        assert main(["train", "--config", one, "--mode", mode, "--out-dir", str(short)]) == 0
+        assert main(["train", "--config", three, "--mode", mode, "--out-dir", str(straight)]) == 0
+        rc = main(["train", "--config", three, "--resume", str(short / "checkpoint.ckp"),
+                   "--out-dir", str(longer)])
+        assert rc == 0, mode
+        want = load_checkpoint(straight / "checkpoint.ckp")
+        got = load_checkpoint(longer / "checkpoint.ckp")
+        assert set(got) == set(want), mode
+        assert got["meta/counters"] != load_checkpoint(short / "checkpoint.ckp")["meta/counters"]
+        for k, v in want.items():
+            if isinstance(v, np.ndarray):
+                np.testing.assert_array_equal(got[k], v, err_msg=f"{mode} {k}")
+            else:
+                assert got[k] == v, (mode, k)
+
+
+def test_cli_train_resume_rejects_fewer_rounds(tmp_path, capsys):
+    done = tmp_path / "r2"
+    assert main(["train", "--config", _write_cfg(tmp_path / "r2.cfg", rounds=2),
+                 "--out-dir", str(done)]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--config", _write_cfg(tmp_path / "r1.cfg", rounds=1),
+               "--resume", str(done / "checkpoint.ckp"), "--out-dir", str(tmp_path / "r1")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "rounds (given 1, checkpoint 2)" in err and "only upward" in err
+    assert not (tmp_path / "r1").exists()
 
 
 def test_cli_ablate(tmp_path, capsys):

@@ -146,9 +146,8 @@ def test_recon_loss_zero_for_perfect_model():
         t.data[...] = 0.0
     scenes = [np.zeros((6, 6, cfg.bands))]
     mask = Mask(np.ones((6, 6)))
-    loss, g = recon_loss(state.theta, None, scenes, mask, cfg)
+    loss = recon_loss(state.theta, None, scenes, mask, cfg)
     assert float(loss.data) == 0.0
-    assert g is None
 
 
 def test_recon_loss_batch_duplication_invariance():
@@ -156,10 +155,10 @@ def test_recon_loss_batch_duplication_invariance():
     state = make_state(cfg)
     scenes, masks = tiny_problem(cfg)
     eps = [RNG.standard_normal((6, 6)) for _ in range(2)]
-    loss1, _ = recon_loss(state.theta, state.phi, scenes[:2], masks[0], cfg,
-                          eps_list=eps)
-    loss2, _ = recon_loss(state.theta, state.phi, scenes[:2] * 3, masks[0], cfg,
-                          eps_list=eps * 3)
+    g = gst_forward(masks[0], state.phi)
+    loss1 = recon_loss(state.theta, g, scenes[:2], masks[0], cfg, eps_list=eps)
+    loss2 = recon_loss(state.theta, g, scenes[:2] * 3, masks[0], cfg,
+                       eps_list=eps * 3)
     assert float(loss2.data) == pytest.approx(float(loss1.data), rel=1e-12)
 
 
@@ -171,24 +170,26 @@ def test_recon_loss_scale_flag_relation():
     state = make_state(cfg_mean)
     scenes, masks = tiny_problem(cfg_mean)
     eps = [RNG.standard_normal((6, 6)) for _ in range(2)]
-    lm, _ = recon_loss(state.theta, state.phi, scenes[:2], masks[0], cfg_mean,
-                       eps_list=eps)
-    lp, _ = recon_loss(state.theta, state.phi, scenes[:2], masks[0], cfg_paper,
-                       eps_list=eps, n_total=10)
+    g = gst_forward(masks[0], state.phi)
+    lm = recon_loss(state.theta, g, scenes[:2], masks[0], cfg_mean, eps_list=eps)
+    lp = recon_loss(state.theta, g, scenes[:2], masks[0], cfg_paper,
+                    eps_list=eps, n_total=10)
     pixels = 6 * 6 * cfg_mean.bands
     assert float(lp.data) == pytest.approx(10 * pixels * float(lm.data), rel=1e-12)
 
 
-def test_recon_loss_detach_keeps_phi_gradient_free():
-    cfg = tiny_cfg()
+def test_theta_epochs_under_a_gst_leave_phi_grads_zero():
+    # theta-only epochs perturb masks with the GST's map taken off the
+    # tape; nothing zeroes phi's grads there, so a taped map would leave
+    # them nonzero
+    cfg = tiny_cfg(t_init=2, t_val=0)
     state = make_state(cfg)
     scenes, masks = tiny_problem(cfg)
-    eps = [RNG.standard_normal((6, 6)) for _ in range(2)]
-    loss, _ = recon_loss(state.theta, state.phi, scenes[:2], masks[0], cfg,
-                         eps_list=eps, detach_gst=True)
-    backward(loss)
+    pretrain(state, scenes, masks)
     assert all(np.all(t.grad == 0.0) for _, t in state.phi.parameters())
-    assert any(np.any(t.grad != 0.0) for _, t in state.theta.parameters())
+    bilevel_train(state, scenes, scenes, masks)
+    assert [row["phase"] for row in state.log] == ["pretrain", "pretrain", "train"]
+    assert all(np.all(t.grad == 0.0) for _, t in state.phi.parameters())
 
 
 def test_recon_loss_attached_reaches_phi():
@@ -196,8 +197,8 @@ def test_recon_loss_attached_reaches_phi():
     state = make_state(cfg)
     scenes, masks = tiny_problem(cfg)
     eps = [RNG.standard_normal((6, 6)) * 0.5 for _ in range(2)]
-    loss, _ = recon_loss(state.theta, state.phi, scenes[:2], masks[0], cfg,
-                         eps_list=eps)
+    loss = recon_loss(state.theta, gst_forward(masks[0], state.phi), scenes[:2],
+                      masks[0], cfg, eps_list=eps)
     backward(loss)
     assert any(np.any(t.grad != 0.0) for _, t in state.phi.parameters())
 
@@ -207,7 +208,8 @@ def test_recon_loss_needs_eps_or_rng_and_nonempty_batch():
     state = make_state(cfg)
     scenes, masks = tiny_problem(cfg)
     with pytest.raises(ValueError):
-        recon_loss(state.theta, state.phi, scenes[:1], masks[0], cfg)
+        recon_loss(state.theta, gst_forward(masks[0], state.phi), scenes[:1],
+                   masks[0], cfg)
     with pytest.raises(ValueError):
         recon_loss(state.theta, None, [], masks[0], cfg)
 
@@ -217,8 +219,8 @@ def test_total_loss_beta_zero_is_recon_object():
     state = make_state(cfg)
     scenes, masks = tiny_problem(cfg)
     eps = [RNG.standard_normal((6, 6)) for _ in range(2)]
-    total, recon, ent = total_loss(state.theta, state.phi, scenes[:2], masks[0],
-                                   cfg, eps_list=eps)
+    total, recon, ent = total_loss(state.theta, gst_forward(masks[0], state.phi),
+                                   scenes[:2], masks[0], cfg, eps_list=eps)
     assert total is recon
     assert ent is not None  # still reported for the log
 
@@ -228,16 +230,16 @@ def test_total_loss_adds_weighted_entropy():
     state = make_state(cfg)
     scenes, masks = tiny_problem(cfg)
     eps = [RNG.standard_normal((6, 6)) for _ in range(2)]
-    total, recon, ent = total_loss(state.theta, state.phi, scenes[:2], masks[0],
-                                   cfg, eps_list=eps)
-    g = gst_forward(masks[0].values, state.phi)
+    g = gst_forward(masks[0], state.phi)
+    total, recon, ent = total_loss(state.theta, g, scenes[:2], masks[0], cfg,
+                                   eps_list=eps)
     assert ent == pytest.approx(entropy_term(g.data), abs=1e-15)
     assert float(total.data) == pytest.approx(
         float(recon.data) + 1e-2 * ent, rel=1e-12
     )
     flip = dataclasses.replace(cfg, entropy_flip=True)
-    total_f, recon_f, _ = total_loss(state.theta, state.phi, scenes[:2], masks[0],
-                                     flip, eps_list=eps)
+    total_f, recon_f, _ = total_loss(state.theta, g, scenes[:2], masks[0], flip,
+                                     eps_list=eps)
     assert float(total_f.data) == pytest.approx(
         float(recon_f.data) - 1e-2 * ent, rel=1e-12
     )
@@ -253,8 +255,8 @@ def test_loss_graph_frees_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        total, recon, _ = total_loss(state.theta, state.phi, scenes[:2], masks[0],
-                                     cfg, rng)
+        total, recon, _ = total_loss(state.theta, gst_forward(masks[0], state.phi),
+                                     scenes[:2], masks[0], cfg, rng)
         backward(total)
         del total, recon
         assert gc.collect() == 0
@@ -335,8 +337,8 @@ def test_theta_frozen_during_phi_steps():
     state = make_state(cfg)
     scenes, masks = tiny_problem(cfg)
     eps = [RNG.standard_normal((6, 6)) for _ in range(2)]
-    total, _, _ = total_loss(state.theta, state.phi, scenes[:2], masks[0], cfg,
-                             eps_list=eps)
+    total, _, _ = total_loss(state.theta, gst_forward(masks[0], state.phi),
+                             scenes[:2], masks[0], cfg, eps_list=eps)
     backward(total)
     theta_before = [t.data.copy() for _, t in state.theta.parameters()]
     state.adam_phi.step(1e-3)
@@ -381,7 +383,7 @@ def test_phi_epochs_leave_theta_streams_alone():
     # A fixed-variance control draws order, mask, eps and noise only in
     # its theta epochs; the full model's theta-side streams must end at
     # the same positions, so phi epochs draw from none of them.
-    cfg = tiny_cfg(noise_mode="fixed", noise_std=0.01, t_trn=2, t_val=2, rounds=2)
+    cfg = tiny_cfg(noise_std=0.01, t_trn=2, t_val=2, rounds=2)
     exp = build_experiment(cfg, TINY_SPEC)
     full = run_training(exp, mode="full")
     ctrl = run_training(exp, mode="fixed-variance", fixed_g=0.01)
@@ -393,7 +395,7 @@ def test_phi_epochs_leave_theta_streams_alone():
 def test_no_bilevel_gets_the_full_theta_budget_and_draws_noise():
     # The single-loop control steps theta as often as the full method, and
     # its joint epochs draw measurement noise like every other theta epoch.
-    cfg = tiny_cfg(noise_mode="fixed", noise_std=0.01, t_trn=2, t_val=2, rounds=2)
+    cfg = tiny_cfg(noise_std=0.01, t_trn=2, t_val=2, rounds=2)
     exp = build_experiment(cfg, TINY_SPEC)
     full = run_training(exp, mode="full")
     joint = run_training(exp, mode="no-bilevel")
@@ -402,6 +404,23 @@ def test_no_bilevel_gets_the_full_theta_budget_and_draws_noise():
     pretrain(warm, exp.train_scenes, exp.train_masks)
     assert (joint.rngs["noise"].bit_generator.state
             != warm.rngs["noise"].bit_generator.state)
+
+
+def test_noise_std_alone_sets_training_noise():
+    # noise_std > 0 is the whole switch for training measurement noise;
+    # 0 draws nothing, so the noise stream stays at its seeded state
+    exp = build_experiment(tiny_cfg(), TINY_SPEC)
+    quiet = run_training(exp, mode="no-gst")
+    loud = run_training(dataclasses.replace(exp, cfg=tiny_cfg(noise_std=0.01)),
+                        mode="no-gst")
+    assert (quiet.rngs["noise"].bit_generator.state
+            == make_state(tiny_cfg()).rngs["noise"].bit_generator.state)
+    assert (loud.rngs["noise"].bit_generator.state
+            != quiet.rngs["noise"].bit_generator.state)
+    assert any(
+        not np.array_equal(tq.data, tl.data)
+        for (_, tq), (_, tl) in zip(quiet.theta.parameters(), loud.theta.parameters())
+    )
 
 
 def test_fresh_deviation_map_starts_near_prior_sigma():
@@ -498,7 +517,7 @@ def test_config_validate_errors():
     with pytest.raises(ValueError):
         tiny_cfg(d=-1).validate()
     with pytest.raises(ValueError):
-        tiny_cfg(noise_mode="sometimes").validate()
+        tiny_cfg(noise_std=-0.01).validate()
     with pytest.raises(ValueError):
         tiny_cfg(alpha1=-1e-4).validate()
     with pytest.raises(ValueError):
