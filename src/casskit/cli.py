@@ -83,20 +83,29 @@ def _cmd_gen_masks(args):
     return 0
 
 
-def _check_resume_config(cfg, saved):
+def _check_resume_config(cfg, spec, state):
     """Refuse to resume on other data or settings than the checkpoint's.
 
-    Only ``rounds`` may differ, and only upward: that trains the run further.
+    The training config and the scenario, which picks the scenes and
+    masks, must both match.  Only ``rounds`` may differ, and only upward:
+    that trains the run further.
     """
-    ours, theirs = io.parse_config(config_text(cfg)), io.parse_config(config_text(saved))
+    if state.scenario is None:
+        raise io.ConfigError(
+            "--resume: the checkpoint records no scenario; it needs the "
+            "'meta/scenario' blob"
+        )
+    ours = io.parse_config(harness.run_config_text(cfg, spec))
+    theirs = io.parse_config(config_text(state.cfg) + state.scenario)
     keys = sorted(
         k for k in ours
-        if ours[k] != theirs[k] and not (k == "rounds" and cfg.rounds > saved.rounds)
+        if ours[k] != theirs.get(k)
+        and not (k == "rounds" and cfg.rounds > state.cfg.rounds)
     )
     if keys:
         raise io.ConfigError(
             "--resume: config differs from the checkpoint's in "
-            + ", ".join(f"{k} (given {ours[k]}, checkpoint {theirs[k]})" for k in keys)
+            + ", ".join(f"{k} (given {ours[k]}, checkpoint {theirs.get(k)})" for k in keys)
             + "; only rounds may change, and only upward"
         )
 
@@ -108,7 +117,7 @@ def _cmd_train(args):
     if args.resume:
         # the checkpoint's own regime; --mode does not apply
         state = load_state(args.resume)
-        _check_resume_config(cfg, state.cfg)
+        _check_resume_config(cfg, spec, state)
         state.cfg = cfg
         train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
     else:
@@ -198,8 +207,8 @@ def _build_parser():
     )
     q.add_argument(
         "--resume",
-        help="checkpoint to continue in its own regime (ignores --mode); the "
-        "config must match the checkpoint's, except that rounds may grow",
+        help="checkpoint to continue in its own regime (ignores --mode); its "
+        "config and scenario keys must match, except that rounds may grow",
     )
     q.set_defaults(fn=_cmd_train)
 

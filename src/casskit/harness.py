@@ -46,6 +46,7 @@ from .optics import HsiCube, Mask, encode
 from .trainer import (
     REGIMES,
     TrainConfig,
+    config_text,
     make_state,
     reconstruct_scene,
     save_state,
@@ -234,11 +235,13 @@ def run_training(exp, mode="full", fixed_g=0.0):
     Modes: "full" (pretrain + alternating bilevel), "no-gst", "no-bilevel",
     "fixed-variance" (uses ``fixed_g``), "untrained" (fresh weights only).
     Epoch budgets of the controls match the full method's theta budget.
-    The regime is recorded in the state, so its checkpoint resumes in it.
+    The regime and the scenario are recorded in the state, so its
+    checkpoint resumes in the one and can be checked against the other.
     """
     if mode not in REGIMES:
         raise ValueError(f"unknown training mode {mode!r}")
     state = make_state(exp.cfg, with_gst=REGIMES[mode])
+    state.scenario = config_text(exp.spec)
     state.regime = {
         "mode": mode,
         "fixed_g": float(fixed_g) if mode == "fixed-variance" else None,
@@ -444,7 +447,7 @@ def run_gradient_suite(quick=False, h=1e-5):
         lambda ps: tsum(nd.matmul(ps[0], ps[1])),
     ), 1e-6)
     check("conv2d", lambda: (
-        [Tensor(rnd((2, 5, 5))), Tensor(rnd((3, 2, 3, 3), -0.5, 0.5)),
+        [Tensor(rnd((2, 5, 7))), Tensor(rnd((3, 2, 3, 3), -0.5, 0.5)),
          Tensor(rnd((3,)))],
         lambda ps: tsum(nd.conv2d(ps[0], ps[1], ps[2])),
     ), 1e-6)

@@ -12,6 +12,12 @@ is acyclic: every edge points from a result to its inputs.  A graph is
 freed by reference counting as soon as its root is dropped; the cyclic
 garbage collector never has to find it.
 
+A closure holds its operand tensors and small saved values, never a
+buffer larger than its operands: conv2d, for one, rebuilds its k*k input
+columns inside the backward closure instead of keeping them from the
+forward.  Closures read their operands' ``.data`` when they run, so an
+operand must not be changed in place before :func:`backward` has run.
+
 The op set is deliberately small: the pointwise family (add, mul, neg,
 relu, sigmoid, softplus, log, clamp01), strict 2-D matmul, same-padded
 stride-1 conv2d, scalar reductions (sum, mean), and a little shape
@@ -280,14 +286,44 @@ def _im2col(a, k):
     return cols.reshape(c * k * k, h * w)
 
 
+def _shifted_correlate(a, taps):
+    """Same-padded correlation of [C, H, W] with taps [k, k, C_out, C].
+
+    The zero-padded input is laid out with its rows end to end, so for tap
+    (i, j) the values every output pixel reads form one contiguous window
+    at offset i*(W+2p)+j.  Each tap is then one matmul over a view of the
+    padded copy, and no k*k times larger column matrix is built.  Every
+    output row carries 2p scratch columns, dropped at the end.
+    """
+    c, h, w = a.shape
+    k = taps.shape[0]
+    p = (k - 1) // 2
+    hp, wp = h + 2 * p, w + 2 * p
+    flat = np.zeros((c, hp * wp + 2 * p))  # 2p spare zeros: the last tap's window
+    flat[:, : hp * wp].reshape(c, hp, wp)[:, p : p + h, p : p + w] = a
+    n = h * wp
+    out = taps[0, 0] @ flat[:, :n]
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                off = i * wp + j
+                out += taps[i, j] @ flat[:, off : off + n]
+    return out.reshape(-1, h, wp)[:, :, :w]
+
+
 def conv2d(x, kernel, bias):
     """Same-padded stride-1 cross-correlation.
 
     x is [C_in, H, W], kernel [C_out, C_in, k, k] with k odd, bias [C_out].
-    Output is [C_out, H, W].  Implemented by unrolling the k*k taps into
-    columns and doing one matmul.  The input gradient is the same kind of
-    correlation, of the output gradient with the spatially flipped,
-    in/out-transposed kernel, so the backward reuses the unrolling.
+    Output is [C_out, H, W].  The forward is k*k shifted matmuls over one
+    zero-padded copy of the input (a plain matmul when k is 1), so it never
+    builds the k*k times larger column matrix.  The backward closure holds
+    only the three operands and reads their ``.data`` when it runs, so no
+    operand may be changed in place between forward and backward (casskit
+    steps its optimizers only after :func:`backward`).  It rebuilds the
+    input's columns for the kernel gradient and frees them on return; the
+    input gradient is the same kind of correlation, of the output gradient
+    with the spatially flipped, in/out-transposed kernel.
     """
     for t in (x, kernel, bias):
         if not isinstance(t, Tensor):
@@ -307,14 +343,16 @@ def conv2d(x, kernel, bias):
     if bias.data.shape != (cout,):
         raise ShapeError(f"conv2d bias must be [{cout}], got {bias.data.shape}")
 
-    cols = _im2col(x.data, kh)
-    wmat = kernel.data.reshape(cout, cin * kh * kw)
-    val = (wmat @ cols + bias.data[:, None]).reshape(cout, h, w)
+    if kh == 1:
+        val = kernel.data.reshape(cout, cin) @ x.data.reshape(cin, h * w)
+    else:
+        val = _shifted_correlate(x.data, kernel.data.transpose(2, 3, 0, 1))
+    val = val.reshape(cout, h, w) + bias.data[:, None, None]
 
     def _bw(g):
         g2 = g.reshape(cout, h * w)
         bias.grad += g2.sum(axis=1)
-        kernel.grad += (g2 @ cols.T).reshape(kernel.data.shape)
+        kernel.grad += (g2 @ _im2col(x.data, kh).T).reshape(kernel.data.shape)
         wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
         x.grad += (wflip @ _im2col(g, kh)).reshape(cin, h, w)
 

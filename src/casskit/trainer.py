@@ -289,6 +289,8 @@ class TrainState:
     log: list = field(default_factory=list)
     # {"mode": one of REGIMES, "fixed_g": float or None}; None if not recorded
     regime: dict | None = None
+    # the scenario trained on, as key=value lines; None if not recorded
+    scenario: str | None = None
 
 
 def make_state(cfg, with_gst=True):
@@ -533,6 +535,8 @@ def state_blobs(state):
     blobs["meta/log"] = json.dumps(state.log)
     if state.regime is not None:
         blobs["meta/regime"] = json.dumps(state.regime, sort_keys=True)
+    if state.scenario is not None:
+        blobs["meta/scenario"] = state.scenario
     for role, gen in state.rngs.items():
         blobs[f"meta/rng/{role}"] = json.dumps(gen.bit_generator.state)
     for n, t in state.theta.parameters():
@@ -557,6 +561,7 @@ def state_from_blobs(blobs):
     state.log = json.loads(blobs["meta/log"])
     if "meta/regime" in blobs:
         state.regime = json.loads(blobs["meta/regime"])
+    state.scenario = blobs.get("meta/scenario")
     for role, gen in state.rngs.items():
         name = f"meta/rng/{role}"
         if name not in blobs:

@@ -494,6 +494,36 @@ def test_cli_train_resume_rejects_fewer_rounds(tmp_path, capsys):
     assert not (tmp_path / "r1").exists()
 
 
+def test_cli_train_resume_rejects_another_scenario(tmp_path, capsys):
+    # the scenario picks the scenes and masks, so it must match like the config
+    done, first, other = tmp_path / "done", tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text(run_config_text(tiny_cfg(rounds=1),
+                                     tiny_spec(scene_h=16, scenes_train=4)))
+    other.write_text(run_config_text(tiny_cfg(rounds=2),
+                                     tiny_spec(scene_h=20, scenes_train=8)))
+    assert main(["train", "--config", str(first), "--out-dir", str(done)]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--config", str(other), "--resume", str(done / "checkpoint.ckp"),
+               "--out-dir", str(tmp_path / "more")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "scene_h (given 20, checkpoint 16)" in err
+    assert "scenes_train (given 8, checkpoint 4)" in err
+    assert "rounds" not in err.split(";")[0]
+    assert not (tmp_path / "more").exists()
+
+
+def test_cli_train_resume_without_scenario_names_the_blob(cli_env, tmp_path, capsys):
+    blobs = load_checkpoint(cli_env["train"] / "checkpoint.ckp")
+    del blobs["meta/scenario"]
+    old = tmp_path / "old.ckp"
+    save_checkpoint(old, blobs)
+    rc = main(["train", "--config", str(cli_env["cfg"]), "--resume", str(old),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "meta/scenario" in capsys.readouterr().err
+
+
 def test_cli_ablate(tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(run_config_text(tiny_cfg(), tiny_spec()))

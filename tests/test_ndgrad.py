@@ -299,6 +299,17 @@ def test_conv2d_input_grad_is_adjoint_of_naive(k):
     np.testing.assert_allclose(x.grad, naive_conv2d_adjoint(gout, w, x.shape), atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_backward_holds_no_array_larger_than_its_input(k):
+    # the closure lives as long as the graph: a k*k column matrix held
+    # there would multiply every conv's footprint for the whole step
+    x = Tensor(RNG.normal(size=(2, 9, 11)))
+    out = conv2d(x, Tensor(RNG.normal(size=(3, 2, k, k))), Tensor(RNG.normal(size=3)))
+    held = [c.cell_contents for c in out._backward.__closure__]
+    sizes = [a.nbytes for a in held if isinstance(a, np.ndarray)]
+    assert all(n <= x.data.nbytes for n in sizes), sizes
+
+
 # -- shape ops --------------------------------------------------------------
 
 def test_reshape_transpose_stack_backward():
