@@ -95,7 +95,11 @@ def _layers():
     tracer = Tracer()
     with tracer.installed():
         # looked up on the module, so the call goes through the tracer's rebinding
-        harness.run_training(exp, mode="full")
+        state = harness.run_training(exp, mode="full")
+    # the tracer times Adam steps but not whose they are; as in perfbench's
+    # worker, the split comes from the returned state
+    tracer.counts["steps_theta"] = state.adam_theta.t
+    tracer.counts["steps_phi"] = state.adam_phi.t
     return {name: value for name, (value, _unit) in tracer.layer_metrics().items()}
 
 

@@ -13,10 +13,15 @@ freed by reference counting as soon as its root is dropped; the cyclic
 garbage collector never has to find it.
 
 A closure holds its operand tensors and small saved values, never a
-buffer larger than its operands: conv2d, for one, rebuilds its k*k input
-columns inside the backward closure instead of keeping them from the
-forward.  Closures read their operands' ``.data`` when they run, so an
-operand must not be changed in place before :func:`backward` has run.
+buffer larger than its operands: conv2d, for one, recomputes its padded
+input inside the backward closure instead of keeping it from the forward,
+and neither direction builds a k*k times larger column matrix.  Closures
+read their operands' ``.data`` when they run, so an operand must not be
+changed in place before :func:`backward` has run.
+
+A sweep computes only the gradients its caller asks for:
+``backward(root, wrt)`` marks the nodes on a path to a listed leaf, runs
+only their closures, and each closure skips the parents left unmarked.
 
 The op set is deliberately small: the pointwise family (add, mul, neg,
 relu, sigmoid, softplus, log, clamp01), strict 2-D matmul, same-padded
@@ -76,16 +81,15 @@ class Tensor:
     later.
     """
 
-    __slots__ = ("data", "grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_need", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), backward=None, name=None):
+    def __init__(self, data, parents=(), backward=None):
         arr = _as_array(data)
         if not np.all(np.isfinite(arr)):
-            where = f" in {name!r}" if name else ""
-            raise FloatingPointError(f"non-finite values entering the tape{where}")
+            raise FloatingPointError("non-finite values entering the tape")
         self.data = arr
         self.grad = np.zeros_like(arr)
-        self.name = name
+        self._need = True  # set per sweep by backward: does this node need a grad?
         self._parents = tuple(parents)
         self._backward = backward
 
@@ -101,8 +105,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = f", name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
+        return f"Tensor(shape={self.data.shape})"
 
     # operator sugar; all defer to the module-level ops
     def __add__(self, other):
@@ -155,6 +158,8 @@ def _binary_shapes(a, b, opname):
 
 def _acc(t, g):
     # reduce over the broadcast when the parent was a 0-d scalar
+    if not t._need:
+        return
     if t.data.shape == g.shape:
         t.grad += g
     else:
@@ -177,8 +182,10 @@ def mul(a, b):
     _binary_shapes(a, b, "mul")
 
     def _bw(g):
-        _acc(a, g * b.data)
-        _acc(b, g * a.data)
+        if a._need:
+            _acc(a, g * b.data)
+        if b._need:
+            _acc(b, g * a.data)
 
     return Tensor(a.data * b.data, (a, b), _bw)
 
@@ -187,7 +194,8 @@ def neg(a):
     a = _lift(a)
 
     def _bw(g):
-        a.grad -= g
+        if a._need:
+            a.grad -= g
 
     return Tensor(-a.data, (a,), _bw)
 
@@ -197,7 +205,8 @@ def relu(a):
     mask = a.data > 0.0  # subgradient 0 at exactly 0
 
     def _bw(g):
-        a.grad += g * mask
+        if a._need:
+            a.grad += g * mask
 
     return Tensor(np.maximum(a.data, 0.0), (a,), _bw)
 
@@ -217,7 +226,8 @@ def sigmoid(a):
     s = _sigmoid_val(a.data)
 
     def _bw(g):
-        a.grad += g * s * (1.0 - s)
+        if a._need:
+            a.grad += g * s * (1.0 - s)
 
     return Tensor(s, (a,), _bw)
 
@@ -226,7 +236,8 @@ def softplus(a):
     a = _lift(a)
 
     def _bw(g):
-        a.grad += g * _sigmoid_val(a.data)
+        if a._need:
+            a.grad += g * _sigmoid_val(a.data)
 
     return Tensor(np.logaddexp(0.0, a.data), (a,), _bw)
 
@@ -237,7 +248,8 @@ def log(a):
         raise ValueError("log: nonpositive element in operand")
 
     def _bw(g):
-        a.grad += g / a.data
+        if a._need:
+            a.grad += g / a.data
 
     return Tensor(np.log(a.data), (a,), _bw)
 
@@ -247,7 +259,8 @@ def clamp01(a):
     mask = (a.data > 0.0) & (a.data < 1.0)  # zero gradient at and beyond bounds
 
     def _bw(g):
-        a.grad += g * mask
+        if a._need:
+            a.grad += g * mask
 
     return Tensor(np.clip(a.data, 0.0, 1.0), (a,), _bw)
 
@@ -265,42 +278,44 @@ def matmul(a, b):
         )
 
     def _bw(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        if a._need:
+            a.grad += g @ b.data.T
+        if b._need:
+            b.grad += a.data.T @ g
 
     return Tensor(a.data @ b.data, (a, b), _bw)
 
 
-def _im2col(a, k):
-    """[C, H, W] -> [C*k*k, H*W]: the k*k same-padded taps of every pixel."""
+def _pad_flat(a, p):
+    """[C, H, W] -> [C, (H+2p)*(W+2p) + 2p]: zero-padded, rows end to end.
+
+    For tap (i, j) of a k = 2p+1 window, the values every output pixel
+    reads then form one contiguous window of H*(W+2p) columns at offset
+    i*(W+2p)+j; each output row carries 2p scratch columns.  The 2p spare
+    zeros at the end hold the last tap's window.  With p = 0 this is a
+    view of ``a``.
+    """
     c, h, w = a.shape
-    if k == 1:
+    if p == 0:
         return a.reshape(c, h * w)
-    p = (k - 1) // 2
-    ap = np.zeros((c, h + 2 * p, w + 2 * p))
-    ap[:, p : p + h, p : p + w] = a
-    cols = np.empty((c, k, k, h, w))
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = ap[:, i : i + h, j : j + w]
-    return cols.reshape(c * k * k, h * w)
+    hp, wp = h + 2 * p, w + 2 * p
+    flat = np.zeros((c, hp * wp + 2 * p))
+    flat[:, : hp * wp].reshape(c, hp, wp)[:, p : p + h, p : p + w] = a
+    return flat
 
 
 def _shifted_correlate(a, taps):
     """Same-padded correlation of [C, H, W] with taps [k, k, C_out, C].
 
-    The zero-padded input is laid out with its rows end to end, so for tap
-    (i, j) the values every output pixel reads form one contiguous window
-    at offset i*(W+2p)+j.  Each tap is then one matmul over a view of the
-    padded copy, and no k*k times larger column matrix is built.  Every
-    output row carries 2p scratch columns, dropped at the end.
+    Each tap is one matmul over a window of :func:`_pad_flat`'s padded
+    copy, so no k*k times larger column matrix is built; the scratch
+    columns are dropped at the end.  A 1x1 kernel is one plain matmul.
     """
     c, h, w = a.shape
     k = taps.shape[0]
     p = (k - 1) // 2
-    hp, wp = h + 2 * p, w + 2 * p
-    flat = np.zeros((c, hp * wp + 2 * p))  # 2p spare zeros: the last tap's window
-    flat[:, : hp * wp].reshape(c, hp, wp)[:, p : p + h, p : p + w] = a
+    wp = w + 2 * p
+    flat = _pad_flat(a, p)
     n = h * wp
     out = taps[0, 0] @ flat[:, :n]
     for i in range(k):
@@ -317,13 +332,15 @@ def conv2d(x, kernel, bias):
     x is [C_in, H, W], kernel [C_out, C_in, k, k] with k odd, bias [C_out].
     Output is [C_out, H, W].  The forward is k*k shifted matmuls over one
     zero-padded copy of the input (a plain matmul when k is 1), so it never
-    builds the k*k times larger column matrix.  The backward closure holds
-    only the three operands and reads their ``.data`` when it runs, so no
-    operand may be changed in place between forward and backward (casskit
-    steps its optimizers only after :func:`backward`).  It rebuilds the
-    input's columns for the kernel gradient and frees them on return; the
-    input gradient is the same kind of correlation, of the output gradient
-    with the spatially flipped, in/out-transposed kernel.
+    builds the k*k times larger column matrix, and neither does the
+    backward.  Its closure holds only the three operands and reads their
+    ``.data`` when it runs, so no operand may be changed in place between
+    forward and backward (casskit steps its optimizers only after
+    :func:`backward`).  The kernel gradient of tap (i, j) is one matmul of
+    the output gradient, laid out with zeros in the scratch columns,
+    against the same window of the padded input the forward reads; the
+    input gradient is a shifted correlation of the output gradient with
+    the spatially flipped, in/out-transposed kernel.
     """
     for t in (x, kernel, bias):
         if not isinstance(t, Tensor):
@@ -343,18 +360,29 @@ def conv2d(x, kernel, bias):
     if bias.data.shape != (cout,):
         raise ShapeError(f"conv2d bias must be [{cout}], got {bias.data.shape}")
 
-    if kh == 1:
-        val = kernel.data.reshape(cout, cin) @ x.data.reshape(cin, h * w)
-    else:
-        val = _shifted_correlate(x.data, kernel.data.transpose(2, 3, 0, 1))
+    val = _shifted_correlate(x.data, kernel.data.transpose(2, 3, 0, 1))
     val = val.reshape(cout, h, w) + bias.data[:, None, None]
 
     def _bw(g):
-        g2 = g.reshape(cout, h * w)
-        bias.grad += g2.sum(axis=1)
-        kernel.grad += (g2 @ _im2col(x.data, kh).T).reshape(kernel.data.shape)
-        wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        x.grad += (wflip @ _im2col(g, kh)).reshape(cin, h, w)
+        if bias._need:
+            bias.grad += g.reshape(cout, h * w).sum(axis=1)
+        if kernel._need:
+            p = (kh - 1) // 2
+            wp = w + 2 * p
+            gz = g
+            if p:
+                gz = np.zeros((cout, h, wp))
+                gz[:, :, :w] = g
+            gz = gz.reshape(cout, h * wp)
+            flat = _pad_flat(x.data, p)
+            gk = np.empty((kh, kh, cout, cin))
+            for i in range(kh):
+                for j in range(kh):
+                    off = i * wp + j
+                    np.matmul(gz, flat[:, off : off + h * wp].T, out=gk[i, j])
+            kernel.grad += gk.transpose(2, 3, 0, 1)
+        if x._need:
+            x.grad += _shifted_correlate(g, kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0))
 
     return Tensor(val, (x, kernel, bias), _bw)
 
@@ -363,7 +391,8 @@ def tsum(a):
     a = _lift(a)
 
     def _bw(g):
-        a.grad += g  # 0-d broadcasts over the operand
+        if a._need:
+            a.grad += g  # 0-d broadcasts over the operand
 
     return Tensor(a.data.sum(), (a,), _bw)
 
@@ -373,7 +402,8 @@ def tmean(a):
     n = a.data.size
 
     def _bw(g):
-        a.grad += g / n
+        if a._need:
+            a.grad += g / n
 
     return Tensor(a.data.mean(), (a,), _bw)
 
@@ -381,7 +411,8 @@ def tmean(a):
 def reshape(a, shape):
 
     def _bw(g):
-        a.grad += g.reshape(a.data.shape)
+        if a._need:
+            a.grad += g.reshape(a.data.shape)
 
     return Tensor(a.data.reshape(shape), (a,), _bw)
 
@@ -391,7 +422,8 @@ def transpose(a):
         raise ShapeError(f"transpose needs a 2-D operand, got {a.data.shape}")
 
     def _bw(g):
-        a.grad += g.T
+        if a._need:
+            a.grad += g.T
 
     return Tensor(a.data.T, (a,), _bw)
 
@@ -408,7 +440,8 @@ def stack(tensors):
 
     def _bw(g):
         for i, t in enumerate(ts):
-            t.grad += g[i]
+            if t._need:
+                t.grad += g[i]
 
     return Tensor(np.stack([t.data for t in ts]), tuple(ts), _bw)
 
@@ -433,8 +466,16 @@ def _toposort(root):
     return topo
 
 
-def backward(root):
-    """Accumulate d(root)/d(leaf) into every leaf's grad.
+def backward(root, wrt=None):
+    """Accumulate d(root)/d(leaf) into the grads of the leaves in ``wrt``.
+
+    ``wrt`` lists the leaves whose gradients the caller reads; None means
+    every leaf.  A node needs a gradient iff it is listed or one of its
+    parents needs one.  Only those nodes are zeroed and have their
+    closures run, and each closure skips the parents that need none, so a
+    leaf left out of ``wrt`` keeps its grad untouched.  Every consumer of
+    a node that needs a gradient needs one too, so the gradients computed
+    are the same terms summed in the same order as in a full sweep.
 
     Intermediate grads are reset at the start of each sweep so repeated
     calls on subgraphs sharing leaves accumulate cleanly in those leaves
@@ -445,13 +486,20 @@ def backward(root):
     if root.data.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.data.shape}")
     topo = _toposort(root)
-    for node in topo:
-        if node._backward is not None:
-            node.grad[...] = 0.0
-    root.grad[...] = 1.0
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad)
+    if wrt is None:
+        for node in topo:
+            node._need = True
+    else:
+        want = {id(t) for t in wrt}
+        for node in topo:  # parents are marked before their consumers
+            node._need = id(node) in want or any(p._need for p in node._parents)
+    run = [node for node in topo if node._need and node._backward is not None]
+    for node in run:
+        node.grad[...] = 0.0
+    if root._need:
+        root.grad[...] = 1.0
+    for node in reversed(run):
+        node._backward(node.grad)
 
 
 def zero_grad(tensors):
@@ -475,7 +523,7 @@ def grad_check(builder, params, h=1e-5):
     if not np.array_equal(out1.data, out2.data):
         raise RuntimeError("grad_check: builder is not deterministic")
     zero_grad(params)
-    backward(out1)
+    backward(out1, params)
     analytic = [p.grad.copy() for p in params]
     worst = 0.0
     for p, ga in zip(params, analytic):

@@ -205,6 +205,8 @@ def encode_tape(x, m, d=2):
         y[:, d * i : d * i + w] += xv[:, :, i] * m.data
 
     def _bw(g):
+        if not m._need:
+            return
         gm = np.zeros_like(m.data)
         for i in range(bands):
             gm += xv[:, :, i] * g[:, d * i : d * i + w]
@@ -233,11 +235,14 @@ def init_input_tape(y, m, d, bands):
         val[i] = y.data[:, d * i : d * i + w] * m.data
 
     def _bw(g):
-        gm = np.zeros_like(m.data)
-        for i in range(bands):
-            y.grad[:, d * i : d * i + w] += g[i] * m.data
-            gm += g[i] * y.data[:, d * i : d * i + w]
-        m.grad += gm
+        if y._need:
+            for i in range(bands):
+                y.grad[:, d * i : d * i + w] += g[i] * m.data
+        if m._need:
+            gm = np.zeros_like(m.data)
+            for i in range(bands):
+                gm += g[i] * y.data[:, d * i : d * i + w]
+            m.grad += gm
 
     return Tensor(val, (y, m), _bw)
 

@@ -356,7 +356,8 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     from the frozen ``phi`` taken off the tape, with the constant spread
     ``fixed_g``, or with no perturbation at all.  Epochs that step only
     phi draw batch order, mask, eps and noise from the ``phi_*`` streams;
-    every other epoch draws from the theta streams.
+    every other epoch draws from the theta streams.  Each backward sweep
+    computes the gradients of the stepped parameters alone.
     """
     cfg = state.cfg
     scenes = list(scenes)
@@ -364,6 +365,9 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     order, pick, eps, noise_rng = (
         state.rngs[family + role] for role in ("order", "mask", "eps", "noise")
     )
+    stepped = [(opt, lr) for opt, lr in ((state.adam_theta, lr_theta),
+                                         (state.adam_phi, lr_phi)) if lr is not None]
+    wrt = [t for opt, _ in stepped for _, t in opt.named]
     tot = 0.0
     ent_tot = 0.0
     nb = 0
@@ -385,14 +389,10 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
             loss, _recon, ent = total_loss(state.theta, g, batch, m, cfg, eps,
                                            noise_fields=noise, n_total=len(scenes))
             ent_tot += ent
-        backward(loss)
-        if lr_theta is not None:
-            state.adam_theta.step(lr_theta)
-        if lr_phi is not None:
-            state.adam_phi.step(lr_phi)
-            state.adam_phi.zero_grad()
-        # a phi-only step leaves gradients in theta through the shared graph
-        state.adam_theta.zero_grad()
+        backward(loss, wrt)
+        for opt, lr in stepped:
+            opt.step(lr)
+            opt.zero_grad()
         tot += float(loss.data)
         nb += 1
     state.epoch += 1

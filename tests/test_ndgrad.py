@@ -299,6 +299,33 @@ def test_conv2d_input_grad_is_adjoint_of_naive(k):
     np.testing.assert_allclose(x.grad, naive_conv2d_adjoint(gout, w, x.shape), atol=1e-12)
 
 
+def naive_conv2d_kernel_adjoint(g, x, k):
+    """Adjoint of the bias-free naive_conv2d in the kernel: correlate g with x."""
+    cin, h, wid = x.shape
+    cout = g.shape[0]
+    p = k // 2
+    gw = np.zeros((cout, cin, k, k))
+    for co in range(cout):
+        for ci in range(cin):
+            for u in range(k):
+                for v in range(k):
+                    for i in range(h):
+                        for j in range(wid):
+                            ii, jj = i + u - p, j + v - p
+                            if 0 <= ii < h and 0 <= jj < wid:
+                                gw[co, ci, u, v] += g[co, i, j] * x[ci, ii, jj]
+    return gw
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_kernel_grad_matches_naive(k):
+    x = RNG.normal(size=(2, 6, 5))
+    w = Tensor(RNG.normal(size=(3, 2, k, k)))
+    gout = RNG.normal(size=(3, 6, 5))
+    backward(tsum(mul(conv2d(Tensor(x), w, Tensor(RNG.normal(size=3))), Tensor(gout))))
+    np.testing.assert_allclose(w.grad, naive_conv2d_kernel_adjoint(gout, x, k), atol=1e-12)
+
+
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv2d_backward_holds_no_array_larger_than_its_input(k):
     # the closure lives as long as the graph: a k*k column matrix held
@@ -310,7 +337,53 @@ def test_conv2d_backward_holds_no_array_larger_than_its_input(k):
     assert all(n <= x.data.nbytes for n in sizes), sizes
 
 
-# -- shape ops --------------------------------------------------------------
+# -- gradients for a chosen set of leaves -----------------------------------
+
+def _two_branch_graph():
+    # w reaches the root through a conv; a reaches it only through u
+    x = Tensor(RNG.normal(size=(2, 6, 5)))
+    w = Tensor(RNG.normal(size=(3, 2, 3, 3)))
+    b = Tensor(RNG.normal(size=3))
+    a = Tensor(RNG.normal(size=(3, 6, 5)))
+    u = sigmoid(mul(a, a))
+    root = tsum(mul(relu(conv2d(x, w, b)), u))
+    return root, (x, w, b, a), u
+
+
+@pytest.mark.parametrize("listed", range(4))
+def test_backward_wrt_matches_full_sweep_bitwise(listed):
+    root, leaves, _ = _two_branch_graph()
+    backward(root)
+    full = leaves[listed].grad.copy()
+    leaves[listed].grad[...] = 0.0
+    backward(root, [leaves[listed]])
+    assert np.array_equal(leaves[listed].grad, full)
+    assert np.any(full != 0.0)
+
+
+@pytest.mark.parametrize("listed", range(4))
+def test_backward_wrt_leaves_unlisted_grads_untouched(listed):
+    root, leaves, _ = _two_branch_graph()
+    for t in leaves:
+        t.grad[...] = 7.0
+    backward(root, [leaves[listed]])
+    for i, t in enumerate(leaves):
+        if i != listed:
+            assert np.all(t.grad == 7.0), i
+
+
+def test_backward_wrt_skips_closures_off_the_path():
+    root, (_, w, _, _), u = _two_branch_graph()
+    ran = []
+    inner = u._backward
+    u._backward = lambda g: ran.append(1) or inner(g)
+    backward(root, [w])
+    assert ran == []
+    backward(root)
+    assert ran == [1]
+
+
+# -- shape ops --------------------------------------------------------------# -- shape ops --------------------------------------------------------------
 
 def test_reshape_transpose_stack_backward():
     a = Tensor(RNG.normal(size=(2, 6)))

@@ -346,6 +346,26 @@ def test_theta_frozen_during_phi_steps():
         assert np.array_equal(a, t.data)
 
 
+def test_phi_epochs_leave_theta_grads_and_values_alone():
+    # a phi-only sweep asks for phi's gradients alone: theta's grads are
+    # neither computed nor zeroed there
+    cfg = tiny_cfg(t_trn=0, t_val=2)
+    state = make_state(cfg)
+    scenes, masks = tiny_problem(cfg)
+    for _, t in state.theta.parameters():
+        t.grad[...] = 7.0
+    theta_before = [t.data.copy() for _, t in state.theta.parameters()]
+    phi_before = [t.data.copy() for _, t in state.phi.parameters()]
+    bilevel_train(state, scenes[:2], scenes[2:], masks)
+    assert [row["phase"] for row in state.log] == ["val", "val"]
+    assert state.adam_theta.t == 0 and state.adam_phi.t > 0
+    for a, (_, t) in zip(theta_before, state.theta.parameters()):
+        assert np.array_equal(a, t.data)
+        assert np.all(t.grad == 7.0)
+    assert any(not np.array_equal(a, t.data)
+               for a, (_, t) in zip(phi_before, state.phi.parameters()))
+
+
 def test_same_seed_same_trajectory():
     cfg = tiny_cfg(rounds=2)
     scenes, masks = tiny_problem(cfg, n_scenes=4)
