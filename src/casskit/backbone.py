@@ -47,9 +47,6 @@ class SrnParams:
         out += [("tail_w", self.tail_w), ("tail_b", self.tail_b)]
         return out
 
-    def param_count(self):
-        return sum(t.data.size for _, t in self.parameters())
-
     @property
     def bands(self):
         return self.head_w.data.shape[1]
@@ -59,17 +56,15 @@ class SrnParams:
         return self.head_w.data.shape[0]
 
 
-def srn_init(bands, channels=16, blocks=4, rng=None, kernel=3):
-    """Xavier-uniform weights (gain 1), zero biases."""
+def srn_init(bands, channels=16, blocks=4, rng=None):
+    """Xavier-uniform weights (gain 1), zero biases; 3x3 kernels."""
     if rng is None:
         raise ValueError("srn_init requires an rng")
     if bands < 1 or channels < 1:
         raise ValueError("bands and channels must be >= 1")
     if blocks < 0:
         raise ValueError(f"block count must be >= 0, got {blocks}")
-    if kernel % 2 == 0:
-        raise ValueError(f"kernel must be odd, got {kernel}")
-    k = kernel
+    k = 3
 
     def conv_w(cout, cin):
         return Tensor(xavier_uniform(rng, (cout, cin, k, k), cin * k * k, cout * k * k))

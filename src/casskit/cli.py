@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands mirror the library surface: ``gen-data`` and ``gen-masks``
-write synthetic inputs, ``train`` produces a checkpoint, ``eval`` scores
-it on held-out masks, ``ablate`` runs the controls, ``uncertainty``
-writes mask-variation variance maps, and ``gradcheck`` runs the
-finite-difference verification of the gradient engine.
+Subcommands mirror the library surface: ``gen-masks`` writes the
+scenario's train and test masks, ``train`` produces a checkpoint,
+``eval`` scores it on held-out masks, ``ablate`` runs the controls,
+``uncertainty`` writes mask-variation variance maps, and ``gradcheck``
+runs the finite-difference verification of the gradient engine.
 
 Exit codes: 0 success, 2 usage/config/data errors (message on stderr),
 1 unexpected internal failure.
@@ -16,10 +16,7 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import harness, io
-from .maskmodel import NoisePrior, build_mask_sets, realize_mask, synthesize_clean_mask
 from .trainer import config_text, load_state, save_state, train_regime
 
 __all__ = ["main"]
@@ -36,11 +33,10 @@ def _read_config(path):
     return harness.load_config(text)
 
 
-def _add_common(p, need_out=True):
+def _add_common(p):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int, help="override the config seed")
-    if need_out:
-        p.add_argument("--out-dir", required=True, help="output directory")
+    p.add_argument("--out-dir", required=True, help="output directory")
 
 
 def _apply_seed(cfg, args):
@@ -49,37 +45,15 @@ def _apply_seed(cfg, args):
     return cfg
 
 
-def _cmd_gen_data(args):
-    cfg, spec = _read_config(args.config)
-    _apply_seed(cfg, args)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    scenes = harness.gen_synth_scenes(
-        args.count, spec.scene_h, spec.scene_w, cfg.bands, rng
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
-    for i, x in enumerate(scenes):
-        io.save_cube(os.path.join(args.out_dir, f"scene_{i:03d}.hsc"), x.values)
-    print(f"wrote {len(scenes)} scenes to {args.out_dir}")
-    return 0
-
-
 def _cmd_gen_masks(args):
     cfg, spec = _read_config(args.config)
     _apply_seed(cfg, args)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
-    clean = synthesize_clean_mask(
-        spec.mask_base_h, spec.mask_base_w, spec.mask_density, rng
+    exp = harness.build_experiment(cfg, spec)
+    harness.write_masks(args.out_dir, exp)
+    print(
+        f"wrote {len(exp.train_masks)} train and {len(exp.test_masks)} test masks "
+        f"to {args.out_dir}"
     )
-    base = realize_mask(clean, NoisePrior(cfg.prior_mu, cfg.prior_sigma), rng)
-    train, test = build_mask_sets(
-        base, (spec.scene_h, spec.scene_w), spec.k_train, spec.k_test, rng
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
-    for i, m in enumerate(train):
-        io.save_mask(os.path.join(args.out_dir, f"train_{i:02d}.msk"), m.values)
-    for i, m in enumerate(test):
-        io.save_mask(os.path.join(args.out_dir, f"test_{i:02d}.msk"), m.values)
-    print(f"wrote {len(train)} train and {len(test)} test masks to {args.out_dir}")
     return 0
 
 
@@ -188,12 +162,7 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("gen-data", help="write synthetic scene cubes")
-    _add_common(q)
-    q.add_argument("--count", type=int, default=8, help="number of scenes")
-    q.set_defaults(fn=_cmd_gen_data)
-
-    q = sub.add_parser("gen-masks", help="write fabricated train/test masks")
+    q = sub.add_parser("gen-masks", help="write the scenario's train/test masks")
     _add_common(q)
     q.set_defaults(fn=_cmd_gen_masks)
 

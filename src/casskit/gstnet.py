@@ -70,9 +70,6 @@ class GstParams:
             ("out_b", self.out_b),
         ]
 
-    def param_count(self):
-        return sum(t.data.size for _, t in self.parameters())
-
     @property
     def channels(self):
         return self.embed1_w.data.shape[0]
@@ -82,15 +79,13 @@ class GstParams:
         return self.proj1_w.data.shape[0]
 
 
-def gst_init(channels=8, proj_channels=4, rng=None, embed_kernel=3):
-    """Xavier-uniform weights (gain 1), zero biases."""
+def gst_init(channels=8, proj_channels=4, rng=None):
+    """Xavier-uniform weights (gain 1), zero biases; 3x3 embedding kernels."""
     if rng is None:
         raise ValueError("gst_init requires an rng")
     if channels < 1 or proj_channels < 1:
         raise ValueError("channel counts must be >= 1")
-    if embed_kernel % 2 == 0:
-        raise ValueError(f"embed kernel must be odd, got {embed_kernel}")
-    c, cp, k = channels, proj_channels, embed_kernel
+    c, cp, k = channels, proj_channels, 3
 
     def conv_w(cout, cin, kk):
         return Tensor(

@@ -41,7 +41,7 @@ from .maskmodel import (
     synthesize_clean_mask,
 )
 from .metrics import TrialReport, epistemic_map, psnr, ssim
-from .ndgrad import Tensor, grad_check, tmean, tsum
+from .ndgrad import Tensor, grad_check, tsum
 from .optics import HsiCube, Mask, encode
 from .trainer import (
     REGIMES,
@@ -67,6 +67,7 @@ __all__ = [
     "load_config",
     "run_config_text",
     "write_summary",
+    "write_masks",
     "run_gradient_suite",
 ]
 
@@ -281,15 +282,18 @@ def write_summary(path, report):
             )
 
 
+def write_masks(mask_dir, exp):
+    """Write the experiment's masks as ``train_NN.msk`` and ``test_NN.msk``."""
+    os.makedirs(mask_dir, exist_ok=True)
+    for role, masks in (("train", exp.train_masks), ("test", exp.test_masks)):
+        for i, m in enumerate(masks):
+            io.save_mask(os.path.join(mask_dir, f"{role}_{i:02d}.msk"), m.values)
+
+
 def _emit(out_dir, exp, state, report):
-    os.makedirs(out_dir, exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "masks"), exist_ok=True)
+    write_masks(os.path.join(out_dir, "masks"), exp)
     with open(os.path.join(out_dir, "config.txt"), "w", newline="") as f:
         f.write(run_config_text(exp.cfg, exp.spec))
-    for i, m in enumerate(exp.train_masks):
-        io.save_mask(os.path.join(out_dir, "masks", f"train_{i:02d}.msk"), m.values)
-    for i, m in enumerate(exp.test_masks):
-        io.save_mask(os.path.join(out_dir, "masks", f"test_{i:02d}.msk"), m.values)
     save_state(state, os.path.join(out_dir, "checkpoint.ckp"))
     io.write_loss_log_csv(os.path.join(out_dir, "loss_log.csv"), state.log)
     io.write_metrics_csv(os.path.join(out_dir, "metrics.csv"), report.rows)
@@ -460,10 +464,6 @@ def run_gradient_suite(quick=False, h=1e-5):
     check("transpose", lambda: (
         [Tensor(rnd((3, 4)))],
         lambda ps: tsum(nd.matmul(nd.transpose(ps[0]), ps[0])),
-    ), 1e-6)
-    check("stack", lambda: (
-        [Tensor(rnd(shape)), Tensor(rnd(shape))],
-        lambda ps: tmean(nd.mul(nd.stack(ps), nd.stack(ps))),
     ), 1e-6)
 
     rows.append(_end_to_end_check(h))

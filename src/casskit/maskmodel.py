@@ -105,13 +105,13 @@ def realize_mask(clean, prior, rng):
     return Mask(np.clip(cv + z, 0.0, 1.0))
 
 
-def sample_perturbed(m, g, eps=None, rng=None, eps_mean=0.0, eps_std=1.0):
+def sample_perturbed(m, g, eps=None, rng=None, eps_std=1.0):
     """Reparameterized draw m' = clamp01(m + g * eps).
 
     ``m`` is a Mask or 2-D array (treated as constant data).  When ``g``
     is a Tensor the result stays on the tape and gradients flow into
     ``g``; a plain-array ``g`` gives a plain-array result.  ``eps``
-    defaults to an N(eps_mean, eps_std^2) draw from ``rng``.
+    defaults to an N(0, eps_std^2) draw from ``rng``.
     """
     mv = _mask_values(m)
     gshape = g.data.shape if isinstance(g, Tensor) else np.shape(g)
@@ -120,7 +120,7 @@ def sample_perturbed(m, g, eps=None, rng=None, eps_mean=0.0, eps_std=1.0):
     if eps is None:
         if rng is None:
             raise ValueError("sample_perturbed requires eps or an rng")
-        eps = eps_mean + eps_std * rng.standard_normal(mv.shape)
+        eps = eps_std * rng.standard_normal(mv.shape)
     else:
         eps = np.asarray(eps, dtype=np.float64)
         if eps.shape != mv.shape:

@@ -4,12 +4,11 @@ PSNR and SSIM follow the standard single-image conventions for data in
 [0, 1] (estimates are clipped before scoring).  SSIM uses the 11x11
 Gaussian window (sigma 1.5), stabilizers C1 = 0.01^2 and C2 = 0.03^2,
 and averages the map over valid window positions; multi-band cubes score
-each band and average.  Spectral fidelity is summarized two ways: the
-band-by-band Pearson correlation matrix of a cube, and the correlation
-of per-band mean curves between a reconstruction and its reference over
-a patch.  ``epistemic_map`` measures how much a model's output moves
-when the coding mask changes: the per-pixel population variance of
-reconstructions across a set of masks.
+each band and average.  Spectral fidelity is summarized by the
+band-by-band Pearson correlation matrix of a cube.  ``epistemic_map``
+measures how much a model's output moves when the coding mask changes:
+the per-pixel population variance of reconstructions across a set of
+masks.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "psnr",
     "ssim",
     "spectral_correlation",
-    "density_curve_correlation",
     "epistemic_map",
     "TrialReport",
 ]
@@ -148,38 +146,13 @@ def spectral_correlation(cube):
     return corr
 
 
-def density_curve_correlation(xhat, x, patch):
-    """Pearson correlation of per-band mean curves over a patch.
-
-    ``patch`` is (row0, row1, col0, col1), half-open.  If either curve is
-    constant the correlation is undefined; it is reported as 0 with a
-    :class:`DegenerateChannelWarning`.
-    """
-    a, b = _pair(xhat, x)
-    if a.ndim != 3:
-        raise ShapeError(f"cubes must be 3-D, got shape {a.shape}")
-    r0, r1, c0, c1 = patch
-    h, w, _ = a.shape
-    if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
-        raise ShapeError(f"patch {patch} does not fit in {h}x{w}")
-    ca = a[r0:r1, c0:c1].mean(axis=(0, 1))
-    cb = b[r0:r1, c0:c1].mean(axis=(0, 1))
-    if ca.max() == ca.min() or cb.max() == cb.min():
-        warnings.warn(
-            "constant band-mean curve; correlation reported as 0",
-            DegenerateChannelWarning,
-        )
-        return 0.0
-    return float(np.corrcoef(ca, cb)[0, 1])
-
-
-def epistemic_map(model, x, masks, d=2, noise_std=0.0, rng=None):
+def epistemic_map(model, x, masks, d=2):
     """Per-pixel variance of reconstructions of one scene across masks.
 
     ``model(measurement, mask)`` must return an H x W x bands array.  The
-    scene is encoded with each mask (optionally with noise), reconstructed,
-    and the population variance across the mask axis is returned together
-    with the mean reconstruction.
+    scene is encoded noiselessly with each mask, reconstructed, and the
+    population variance across the mask axis is returned together with
+    the mean reconstruction.
 
     The reduction is order-canonicalized (values sorted per pixel before
     summing), so permuting ``masks`` gives bit-identical output, and
@@ -190,7 +163,7 @@ def epistemic_map(model, x, masks, d=2, noise_std=0.0, rng=None):
         raise ValueError("epistemic_map needs at least one mask")
     recons = []
     for m in ms:
-        y = encode(x, m, d, noise_std=noise_std, rng=rng)
+        y = encode(x, m, d)
         recons.append(np.asarray(model(y, m), dtype=np.float64))
     stack = np.stack(recons) + 0.0  # fold -0.0 into +0.0 before sorting
     stack = np.sort(stack, axis=0)

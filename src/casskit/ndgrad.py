@@ -26,7 +26,7 @@ only their closures, and each closure skips the parents left unmarked.
 The op set is deliberately small: the pointwise family (add, mul, neg,
 relu, sigmoid, softplus, log, clamp01), strict 2-D matmul, same-padded
 stride-1 conv2d, scalar reductions (sum, mean), and a little shape
-plumbing (reshape, transpose, stack).  Shapes never broadcast implicitly
+plumbing (reshape, transpose).  Shapes never broadcast implicitly
 except scalar-with-tensor; anything else raises :class:`ShapeError`.
 """
 
@@ -51,7 +51,6 @@ __all__ = [
     "tmean",
     "reshape",
     "transpose",
-    "stack",
     "backward",
     "zero_grad",
     "grad_check",
@@ -106,29 +105,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
-
-    # operator sugar; all defer to the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(other)))
-
-    def __rsub__(self, other):
-        return add(_lift(other), neg(self))
-
-    def sum(self):
-        return tsum(self)
 
 
 def _lift(x):
@@ -426,24 +402,6 @@ def transpose(a):
             a.grad += g.T
 
     return Tensor(a.data.T, (a,), _bw)
-
-
-def stack(tensors):
-    """Stack same-shape tensors along a new leading axis."""
-    ts = list(tensors)
-    if not ts:
-        raise ShapeError("stack of zero tensors")
-    shape0 = ts[0].data.shape
-    for t in ts[1:]:
-        if t.data.shape != shape0:
-            raise ShapeError(f"stack: shape mismatch {shape0} vs {t.data.shape}")
-
-    def _bw(g):
-        for i, t in enumerate(ts):
-            if t._need:
-                t.grad += g[i]
-
-    return Tensor(np.stack([t.data for t in ts]), tuple(ts), _bw)
 
 
 def _toposort(root):

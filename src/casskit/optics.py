@@ -22,7 +22,6 @@ __all__ = [
     "HsiCube",
     "Mask",
     "Measurement",
-    "shift_cube",
     "encode",
     "init_input",
     "encode_tape",
@@ -131,22 +130,6 @@ def _mask_values(m):
     if isinstance(m, Mask):
         return m.values
     return _clean(m, 2, "mask")
-
-
-def shift_cube(x, d):
-    """Shear a cube: channel i moves right by d*i columns, zero filled.
-
-    Returns an [H, W + d*(bands-1), bands] array.  Channel sums are
-    preserved exactly; channels only change position.
-    """
-    xv = _cube_values(x)
-    h, w, bands = xv.shape
-    if d < 0:
-        raise ValueError(f"dispersion step must be >= 0, got {d}")
-    out = np.zeros((h, w + d * (bands - 1), bands))
-    for i in range(bands):
-        out[:, d * i : d * i + w, i] = xv[:, :, i]
-    return out
 
 
 def encode(x, m, d=2, noise_std=0.0, rng=None):

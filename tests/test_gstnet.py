@@ -35,7 +35,7 @@ def test_zero_params_output_is_log2():
 
 def test_param_count_formula():
     c, cp, k = 4, 2, 3
-    params = gst_init(c, cp, np.random.default_rng(0), embed_kernel=k)
+    params = gst_init(c, cp, np.random.default_rng(0))
     want = (
         c * 1 * k * k + c          # embed1
         + c * c * k * k + c        # embed2
@@ -44,7 +44,7 @@ def test_param_count_formula():
         + c                        # graph mixing row
         + 1 * c + 1                # output head (1x1)
     )
-    assert params.param_count() == want
+    assert sum(t.data.size for _, t in params.parameters()) == want
     assert params.channels == c
     assert params.proj_channels == cp
 
@@ -183,5 +183,3 @@ def test_init_argument_errors():
         gst_init(4, 2)  # rng required
     with pytest.raises(ValueError):
         gst_init(0, 2, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        gst_init(4, 2, np.random.default_rng(0), embed_kernel=4)

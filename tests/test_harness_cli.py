@@ -338,31 +338,6 @@ def cli_env(tmp_path_factory):
     return {"root": root, "cfg": cfg_path, "train": train_dir, "spec": spec}
 
 
-def test_cli_gen_data(tmp_path, capsys):
-    cfg_path = tmp_path / "c.cfg"
-    cfg_path.write_text(run_config_text(tiny_cfg(), tiny_spec()))
-    out = tmp_path / "scenes"
-    rc = main(["gen-data", "--config", str(cfg_path), "--out-dir", str(out), "--count", "2"])
-    assert rc == 0
-    assert "wrote 2 scenes" in capsys.readouterr().out
-    for i in range(2):
-        cube = load_cube(out / f"scene_{i:03d}.hsc")
-        assert cube.shape == (12, 12, 2)
-
-
-def test_cli_gen_data_seed_determinism(tmp_path):
-    args = lambda d, s: [
-        "gen-data", "--out-dir", str(d), "--count", "1", "--seed", s,
-    ]
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    assert main(args(a, "3")) == 0
-    assert main(args(b, "3")) == 0
-    assert main(args(c, "4")) == 0
-    fa = (a / "scene_000.hsc").read_bytes()
-    assert fa == (b / "scene_000.hsc").read_bytes()
-    assert fa != (c / "scene_000.hsc").read_bytes()
-
-
 def test_cli_gen_masks(tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(run_config_text(tiny_cfg(), tiny_spec()))
@@ -372,6 +347,23 @@ def test_cli_gen_masks(tmp_path, capsys):
     assert "2 train and 2 test" in capsys.readouterr().out
     for name in ("train_00.msk", "train_01.msk", "test_00.msk", "test_01.msk"):
         assert load_mask(out / name).shape == (12, 12)
+
+
+@pytest.mark.parametrize("kind", ["one-to-one", "one-to-many", "many-to-many"])
+def test_cli_gen_masks_writes_the_experiments_masks(tmp_path, kind):
+    # the written masks are the ones training and evaluation use, at float32
+    k_train, k_test = {"one-to-one": (1, 1), "one-to-many": (1, 2)}.get(kind, (2, 2))
+    cfg, spec = tiny_cfg(), tiny_spec(kind=kind, k_train=k_train, k_test=k_test)
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(run_config_text(cfg, spec))
+    out = tmp_path / "masks"
+    assert main(["gen-masks", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    exp = build_experiment(cfg, spec)
+    want = {f"train_{i:02d}.msk": m for i, m in enumerate(exp.train_masks)}
+    want.update({f"test_{i:02d}.msk": m for i, m in enumerate(exp.test_masks)})
+    assert sorted(p.name for p in out.iterdir()) == sorted(want)
+    for name, m in want.items():
+        np.testing.assert_array_equal(load_mask(out / name), m.values.astype(np.float32))
 
 
 def test_cli_train_outputs(cli_env):
@@ -552,7 +544,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("casskit: error:")
 
-    rc = main(["gen-data", "--config", str(tmp_path / "missing.cfg"),
+    rc = main(["gen-masks", "--config", str(tmp_path / "missing.cfg"),
                "--out-dir", str(tmp_path / "y")])
     assert rc == 2
     assert "cannot read config" in capsys.readouterr().err

@@ -27,7 +27,7 @@ from casskit.maskmodel import (
     sample_perturbed,
     synthesize_clean_mask,
 )
-from casskit.ndgrad import ShapeError, Tensor, backward, grad_check
+from casskit.ndgrad import ShapeError, Tensor, backward, grad_check, mul, tsum
 from casskit.optics import Mask
 
 RNG = np.random.default_rng(55)
@@ -70,7 +70,7 @@ def test_entropy_rejects_nonpositive():
     with pytest.raises(ValueError):
         entropy_term(np.array([[0.1, 0.0], [0.2, 0.3]]))
     with pytest.raises(ValueError):
-        entropy_term(Tensor(np.full((2, 2), 0.1)) * -1.0)
+        entropy_term(mul(Tensor(np.full((2, 2), 0.1)), -1.0))
 
 
 # -- fabrication ------------------------------------------------------------
@@ -144,24 +144,13 @@ def test_sample_perturbed_rng_statistics():
     assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
-def test_sample_perturbed_eps_location_scale():
-    m = np.full((2, 2), 0.4)
-    g = np.full((2, 2), 0.01)
-    rng1 = np.random.default_rng(3)
-    rng2 = np.random.default_rng(3)
-    base = sample_perturbed(m, g, rng=rng1)
-    shifted = sample_perturbed(m, g, rng=rng2, eps_mean=2.0, eps_std=1.0)
-    # same underlying standard normals: shift moves the draw by g * 2
-    np.testing.assert_allclose(shifted, base + 0.02, atol=1e-12)
-
-
 def test_sample_perturbed_tensor_tape():
     mv = np.array([[0.5, 0.9], [0.1, 0.5]])
     eps = np.array([[1.0, 1.0], [-1.0, 2.0]])
     g = Tensor(np.full((2, 2), 0.2))
     out = sample_perturbed(mv, g, eps=eps)
     np.testing.assert_allclose(out.data, [[0.7, 1.0], [0.0, 0.9]], atol=1e-15)
-    backward(out.sum())
+    backward(tsum(out))
     # clamped pixels (the 1.0 and the 0.0) pass no gradient
     np.testing.assert_allclose(g.grad, [[1.0, 0.0], [0.0, 2.0]], atol=1e-15)
 
@@ -173,7 +162,7 @@ def test_sample_perturbed_tape_finite_differences():
 
     def builder(ps):
         s = sample_perturbed(mv, ps[0], eps=eps)
-        return (s * s).sum()
+        return tsum(mul(s, s))
 
     assert grad_check(builder, [g]) < 1e-7
 

@@ -17,7 +17,6 @@ from casskit.metrics import (
     SSIM_WINDOW,
     DegenerateChannelWarning,
     TrialReport,
-    density_curve_correlation,
     epistemic_map,
     psnr,
     spectral_correlation,
@@ -175,32 +174,6 @@ def test_spectral_correlation_all_constant():
     assert np.array_equal(corr, np.eye(3))
 
 
-def test_density_curve_correlation():
-    x = RNG.random((8, 8, 5))
-    assert density_curve_correlation(x, x, (0, 8, 0, 8)) == pytest.approx(1.0)
-    a = x.copy()
-    a[:, :, :] = a[:, :, ::-1]  # reversed spectra give a different curve
-    got = density_curve_correlation(a, x, (2, 6, 1, 7))
-    ca = a[2:6, 1:7].mean(axis=(0, 1))
-    cx = x[2:6, 1:7].mean(axis=(0, 1))
-    assert got == pytest.approx(naive_pearson(ca, cx), abs=1e-12)
-
-
-def test_density_curve_correlation_flat_curve():
-    flat = np.full((8, 8, 3), 0.25)
-    other = RNG.random((8, 8, 3))
-    with pytest.warns(DegenerateChannelWarning):
-        assert density_curve_correlation(flat, other, (0, 4, 0, 4)) == 0.0
-
-
-def test_density_curve_patch_validation():
-    x = RNG.random((8, 8, 3))
-    with pytest.raises(ShapeError):
-        density_curve_correlation(x, x, (0, 9, 0, 8))
-    with pytest.raises(ShapeError):
-        density_curve_correlation(x, x, (4, 4, 0, 8))
-
-
 # -- epistemic maps ---------------------------------------------------------
 
 def identity_model(y, m):
@@ -240,16 +213,6 @@ def test_epistemic_matches_plain_variance():
 def test_epistemic_needs_masks():
     with pytest.raises(ValueError):
         epistemic_map(identity_model, RNG.random((4, 4, 2)), [], d=1)
-
-
-def test_epistemic_noise_needs_rng_and_varies():
-    x = RNG.random((5, 5, 2))
-    m = RNG.random((5, 5))
-    var, _ = epistemic_map(
-        identity_model, x, [m, m], d=1, noise_std=0.05,
-        rng=np.random.default_rng(0),
-    )
-    assert np.any(var > 0.0)  # noise breaks the exact-agreement short cut
 
 
 # -- report aggregation -----------------------------------------------------

@@ -1,0 +1,78 @@
+"""The package's public surface: exported names, benchmark hooks, imports.
+
+Three static checks that need nothing beyond the standard library:
+every name a module exports exists, every function the benchmark's span
+tracer rebinds exists (it looks them up with no default, so a missing
+one fails every traced run), and no module imports a name it neither
+reads nor exports.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import casskit
+
+SRC = Path(casskit.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+FILES = sorted(SRC.glob("*.py"))
+
+
+def _module(path):
+    return importlib.import_module(
+        "casskit" if path.stem == "__init__" else f"casskit.{path.stem}"
+    )
+
+
+def _unused_imports(source):
+    """Names bound by import statements that the module never reads or exports."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(name for name in bound if name not in read | exported)
+
+
+def test_every_exported_name_resolves():
+    missing = []
+    for path in FILES:
+        mod = _module(path)
+        missing += [f"{path.name}: {attr}" for attr in mod.__all__ if not hasattr(mod, attr)]
+    assert missing == []
+
+
+def test_every_name_the_tracer_rebinds_resolves():
+    spec = importlib.util.spec_from_file_location("_casskit_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    hooks = tracer._SPANS + tracer._OPS + tracer._LAYERS
+    hooks += [("io", attr) for attr in tracer._WRITERS]
+    assert hooks
+    missing = [
+        f"{module}.{attr}" for module, attr in hooks
+        if not hasattr(importlib.import_module(f"casskit.{module}"), attr)
+    ]
+    assert missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert _unused_imports("import os\nimport sys\nfrom a import b as c\nprint(sys)") == [
+        "c", "os"
+    ]
+    assert _unused_imports("from . import io\n__all__ = ['io']") == []
+    unused = [
+        f"{path.name}: {name}" for path in FILES for name in _unused_imports(path.read_text())
+    ]
+    assert unused == []
