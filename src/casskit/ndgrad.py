@@ -22,6 +22,15 @@ changed in place before :func:`backward` has run.
 A sweep computes only the gradients its caller asks for:
 ``backward(root, wrt)`` marks the nodes on a path to a listed leaf, runs
 only their closures, and each closure skips the parents left unmarked.
+Gradient buffers are allocated lazily: a sweep gives fresh zeros to the
+nodes it runs, and a node no sweep reaches holds none until its ``grad``
+is read.
+
+Finiteness is checked at the tape's edges.  Leaves reject non-finite
+data at construction; :func:`backward` checks its root, and on a
+non-finite root walks the tape in order and names the first op that
+produced a non-finite value.  Values that leave the tape without a sweep
+go through :func:`check_finite` where they leave.
 
 The op set is deliberately small: the pointwise family (add, mul, neg,
 relu, sigmoid, softplus, log, clamp01), strict 2-D matmul, same-padded
@@ -52,6 +61,7 @@ __all__ = [
     "reshape",
     "transpose",
     "backward",
+    "check_finite",
     "zero_grad",
     "grad_check",
     "xavier_uniform",
@@ -60,6 +70,15 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
+
+
+def _zeros(shape):
+    # Zeroed by writing: np.zeros takes a large buffer from calloc as
+    # untouched pages, and the first in-place add into it then faults every
+    # page twice, once to read and once to write.
+    buf = np.empty(shape)
+    buf.fill(0.0)
+    return buf
 
 
 def _as_array(data):
@@ -75,22 +94,34 @@ class Tensor:
     ``grad`` always has the same shape as ``data`` and accumulates
     additively during :func:`backward`.  Leaf tensors (built directly from
     data, no parents) are the gradient sinks; intermediate grads are
-    scratch space owned by the tape.  Construction rejects non-finite
-    values so a NaN surfaces at the op that produced it, not three ops
-    later.
+    scratch space owned by the tape.  The buffer is allocated on first
+    read, or by the first sweep that runs the node, so a node no sweep
+    reaches costs none.  Leaves reject non-finite values at construction;
+    an op result is not scanned, and a NaN it produces is named at its op
+    by :func:`backward` or :func:`check_finite`.
     """
 
-    __slots__ = ("data", "grad", "_need", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "_need", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         arr = _as_array(data)
-        if not np.all(np.isfinite(arr)):
+        if not parents and not np.all(np.isfinite(arr)):
             raise FloatingPointError("non-finite values entering the tape")
         self.data = arr
-        self.grad = np.zeros_like(arr)
+        self._grad = None
         self._need = True  # set per sweep by backward: does this node need a grad?
         self._parents = tuple(parents)
         self._backward = backward
+
+    @property
+    def grad(self):
+        if self._grad is None:
+            self._grad = _zeros(self.data.shape)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
 
     @property
     def shape(self):
@@ -137,9 +168,9 @@ def _acc(t, g):
     if not t._need:
         return
     if t.data.shape == g.shape:
-        t.grad += g
+        t._grad += g
     else:
-        t.grad += g.sum()
+        t._grad += g.sum()
 
 
 def add(a, b):
@@ -171,7 +202,7 @@ def neg(a):
 
     def _bw(g):
         if a._need:
-            a.grad -= g
+            a._grad -= g
 
     return Tensor(-a.data, (a,), _bw)
 
@@ -182,7 +213,7 @@ def relu(a):
 
     def _bw(g):
         if a._need:
-            a.grad += g * mask
+            a._grad += g * mask
 
     return Tensor(np.maximum(a.data, 0.0), (a,), _bw)
 
@@ -203,7 +234,7 @@ def sigmoid(a):
 
     def _bw(g):
         if a._need:
-            a.grad += g * s * (1.0 - s)
+            a._grad += g * s * (1.0 - s)
 
     return Tensor(s, (a,), _bw)
 
@@ -213,7 +244,7 @@ def softplus(a):
 
     def _bw(g):
         if a._need:
-            a.grad += g * _sigmoid_val(a.data)
+            a._grad += g * _sigmoid_val(a.data)
 
     return Tensor(np.logaddexp(0.0, a.data), (a,), _bw)
 
@@ -225,7 +256,7 @@ def log(a):
 
     def _bw(g):
         if a._need:
-            a.grad += g / a.data
+            a._grad += g / a.data
 
     return Tensor(np.log(a.data), (a,), _bw)
 
@@ -236,7 +267,7 @@ def clamp01(a):
 
     def _bw(g):
         if a._need:
-            a.grad += g * mask
+            a._grad += g * mask
 
     return Tensor(np.clip(a.data, 0.0, 1.0), (a,), _bw)
 
@@ -255,9 +286,9 @@ def matmul(a, b):
 
     def _bw(g):
         if a._need:
-            a.grad += g @ b.data.T
+            a._grad += g @ b.data.T
         if b._need:
-            b.grad += a.data.T @ g
+            b._grad += a.data.T @ g
 
     return Tensor(a.data @ b.data, (a, b), _bw)
 
@@ -341,7 +372,7 @@ def conv2d(x, kernel, bias):
 
     def _bw(g):
         if bias._need:
-            bias.grad += g.reshape(cout, h * w).sum(axis=1)
+            bias._grad += g.reshape(cout, h * w).sum(axis=1)
         if kernel._need:
             p = (kh - 1) // 2
             wp = w + 2 * p
@@ -356,9 +387,9 @@ def conv2d(x, kernel, bias):
                 for j in range(kh):
                     off = i * wp + j
                     np.matmul(gz, flat[:, off : off + h * wp].T, out=gk[i, j])
-            kernel.grad += gk.transpose(2, 3, 0, 1)
+            kernel._grad += gk.transpose(2, 3, 0, 1)
         if x._need:
-            x.grad += _shifted_correlate(g, kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0))
+            x._grad += _shifted_correlate(g, kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0))
 
     return Tensor(val, (x, kernel, bias), _bw)
 
@@ -368,7 +399,7 @@ def tsum(a):
 
     def _bw(g):
         if a._need:
-            a.grad += g  # 0-d broadcasts over the operand
+            a._grad += g  # 0-d broadcasts over the operand
 
     return Tensor(a.data.sum(), (a,), _bw)
 
@@ -379,7 +410,7 @@ def tmean(a):
 
     def _bw(g):
         if a._need:
-            a.grad += g / n
+            a._grad += g / n
 
     return Tensor(a.data.mean(), (a,), _bw)
 
@@ -388,7 +419,7 @@ def reshape(a, shape):
 
     def _bw(g):
         if a._need:
-            a.grad += g.reshape(a.data.shape)
+            a._grad += g.reshape(a.data.shape)
 
     return Tensor(a.data.reshape(shape), (a,), _bw)
 
@@ -399,7 +430,7 @@ def transpose(a):
 
     def _bw(g):
         if a._need:
-            a.grad += g.T
+            a._grad += g.T
 
     return Tensor(a.data.T, (a,), _bw)
 
@@ -424,40 +455,72 @@ def _toposort(root):
     return topo
 
 
+def _first_nonfinite(topo):
+    """Describe the first node, in tape order, whose value is not finite."""
+    for node in topo:
+        if not np.all(np.isfinite(node.data)):
+            if node._backward is None:
+                return f"leaf data of shape {node.data.shape}, changed after construction"
+            op = node._backward.__qualname__.partition(".<locals>")[0]
+            return f"the output of op {op!r}, shape {node.data.shape}"
+
+
+def check_finite(t, what):
+    """Return ``t.data`` if it is finite; else raise naming where it went bad.
+
+    Op results are not scanned when they are made, so a value that leaves
+    the tape without a :func:`backward` sweep is checked here.  On a
+    non-finite value the tape under ``t`` is walked in order and the
+    first op that produced a non-finite value is named.
+    """
+    if not np.all(np.isfinite(t.data)):
+        raise FloatingPointError(
+            f"non-finite {what}; the first non-finite value on its tape is "
+            f"{_first_nonfinite(_toposort(t))}"
+        )
+    return t.data
+
+
 def backward(root, wrt=None):
     """Accumulate d(root)/d(leaf) into the grads of the leaves in ``wrt``.
 
     ``wrt`` lists the leaves whose gradients the caller reads; None means
     every leaf.  A node needs a gradient iff it is listed or one of its
-    parents needs one.  Only those nodes are zeroed and have their
-    closures run, and each closure skips the parents that need none, so a
-    leaf left out of ``wrt`` keeps its grad untouched.  Every consumer of
-    a node that needs a gradient needs one too, so the gradients computed
+    parents needs one.  Only those nodes get a fresh zeroed buffer and
+    have their closures run, and each closure skips the parents that need
+    none, so a leaf left out of ``wrt`` keeps its grad untouched and a
+    node off every listed path is given no buffer.  Every consumer of a
+    node that needs a gradient needs one too, so the gradients computed
     are the same terms summed in the same order as in a full sweep.
 
     Intermediate grads are reset at the start of each sweep so repeated
     calls on subgraphs sharing leaves accumulate cleanly in those leaves
-    without double-counting through stale interior values.
+    without double-counting through stale interior values.  A non-finite
+    root raises :class:`FloatingPointError` naming the first op that
+    produced a non-finite value (see :func:`check_finite`).
     """
     if not isinstance(root, Tensor):
         raise TypeError("backward root must be a Tensor")
     if root.data.size != 1:
         raise ShapeError(f"backward needs a scalar root, got shape {root.data.shape}")
+    check_finite(root, "backward root")
     topo = _toposort(root)
-    if wrt is None:
-        for node in topo:
-            node._need = True
-    else:
-        want = {id(t) for t in wrt}
-        for node in topo:  # parents are marked before their consumers
-            node._need = id(node) in want or any(p._need for p in node._parents)
-    run = [node for node in topo if node._need and node._backward is not None]
-    for node in run:
-        node.grad[...] = 0.0
+    want = None if wrt is None else {id(t) for t in wrt}
+    run = []
+    for node in topo:  # parents are marked before their consumers
+        need = want is None or id(node) in want or any(p._need for p in node._parents)
+        node._need = need
+        if not need:
+            continue
+        if node._backward is not None:
+            node._grad = _zeros(node.data.shape)
+            run.append(node)
+        elif node._grad is None:
+            node._grad = _zeros(node.data.shape)
     if root._need:
-        root.grad[...] = 1.0
+        root._grad[...] = 1.0
     for node in reversed(run):
-        node._backward(node.grad)
+        node._backward(node._grad)
 
 
 def zero_grad(tensors):

@@ -50,7 +50,7 @@ from . import io
 from .backbone import SrnParams, reconstruct, srn_init
 from .gstnet import GstParams, gst_forward, gst_init
 from .maskmodel import entropy_term, sample_perturbed
-from .ndgrad import Tensor, add, backward, mul, neg, tmean, tsum
+from .ndgrad import Tensor, add, backward, check_finite, mul, neg, tmean, tsum
 from .optics import (
     _cube_values,
     _mask_values,
@@ -96,7 +96,7 @@ REGIMES = {
 
 
 class TrainingDiverged(RuntimeError):
-    """A gradient went NaN; the offending parameter is named in the message."""
+    """A gradient went non-finite; the offending parameter is named in the message."""
 
 
 @dataclass
@@ -198,8 +198,9 @@ class Adam(object):
         c2 = 1.0 - self.beta2**self.t
         for n, t in self.named:
             g = t.grad
-            if np.any(np.isnan(g)):
-                raise TrainingDiverged(f"NaN gradient in {n!r} at optimizer step {self.t}")
+            if not np.all(np.isfinite(g)):
+                raise TrainingDiverged(
+                    f"non-finite gradient in {n!r} at optimizer step {self.t}")
             m = self.m[n]
             v = self.v[n]
             m *= self.beta1
@@ -291,6 +292,9 @@ class TrainState:
     regime: dict | None = None
     # the scenario trained on, as key=value lines; None if not recorded
     scenario: str | None = None
+    # (phi's values, {mask values: frozen g}) memo of theta-only epochs;
+    # run-local, never checkpointed (see _frozen_g)
+    g_memo: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def make_state(cfg, with_gst=True):
@@ -346,6 +350,24 @@ def _theta_budget(cfg):
     return cfg.t_init + cfg.rounds * cfg.t_trn
 
 
+def _frozen_g(state, m, phi):
+    """``gst_forward(m, phi)`` taken off the tape, computed once per (m, phi).
+
+    While only theta steps, phi is frozen and g is a constant of the mask,
+    so all of pretrain and each round's theta epochs reuse one g per train
+    mask.  The memo is keyed on phi's values and dropped as soon as they
+    change; a resumed run rebuilds it, so it never reaches a checkpoint.
+    """
+    phi_key = b"".join(t.data.tobytes() for _, t in phi.parameters())
+    if state.g_memo is None or state.g_memo[0] != phi_key:
+        state.g_memo = (phi_key, {})
+    by_mask = state.g_memo[1]
+    mask_key = _mask_values(m).tobytes()
+    if mask_key not in by_mask:
+        by_mask[mask_key] = Tensor(gst_forward(m, phi).data)
+    return by_mask[mask_key]
+
+
 def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
            phi=None, fixed_g=None):
     """One pass over ``scenes`` stepping theta, phi or both; logs one row.
@@ -354,10 +376,12 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     that step phi put ``gst_forward(m, state.phi)`` on the tape and score
     :func:`total_loss`.  Theta-only epochs score :func:`recon_loss` with g
     from the frozen ``phi`` taken off the tape, with the constant spread
-    ``fixed_g``, or with no perturbation at all.  Epochs that step only
-    phi draw batch order, mask, eps and noise from the ``phi_*`` streams;
-    every other epoch draws from the theta streams.  Each backward sweep
-    computes the gradients of the stepped parameters alone.
+    ``fixed_g``, or with no perturbation at all; the frozen g is computed
+    once per train mask and phi state (:func:`_frozen_g`), not per batch.
+    Epochs that step only phi draw batch order, mask, eps and noise from
+    the ``phi_*`` streams; every other epoch draws from the theta streams.
+    Each backward sweep computes the gradients of the stepped parameters
+    alone.
     """
     cfg = state.cfg
     scenes = list(scenes)
@@ -377,7 +401,7 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
         if lr_phi is not None:
             g = gst_forward(m, state.phi)
         elif phi is not None:
-            g = Tensor(gst_forward(m, phi).data)
+            g = _frozen_g(state, m, phi)
         elif fixed_g is not None:
             g = Tensor(np.full(_mask_values(m).shape, fixed_g, dtype=np.float64))
         else:
@@ -509,7 +533,7 @@ def reconstruct_scene(theta, y, m):
     """Measurement + mask -> reconstructed cube (H x W x bands array)."""
     x_in = init_input(y, m)
     xhat = reconstruct(Tensor(cube_to_chw(x_in)), theta)
-    return chw_to_cube(xhat.data)
+    return chw_to_cube(check_finite(xhat, "reconstruction"))
 
 
 # -- checkpoint plumbing ----------------------------------------------------
@@ -521,11 +545,18 @@ def _adam_blobs(prefix, adam, blobs):
         blobs[f"{prefix}/v/{n}"] = adam.v[n]
 
 
+def _finite_blob(blobs, name):
+    arr = blobs[name]
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"checkpoint blob {name!r} holds non-finite values")
+    return arr
+
+
 def _adam_restore(prefix, adam, blobs):
     adam.t = int(json.loads(blobs[f"{prefix}/t"]))
     for n, _ in adam.named:
-        adam.m[n] = np.array(blobs[f"{prefix}/m/{n}"])
-        adam.v[n] = np.array(blobs[f"{prefix}/v/{n}"])
+        adam.m[n] = np.array(_finite_blob(blobs, f"{prefix}/m/{n}"))
+        adam.v[n] = np.array(_finite_blob(blobs, f"{prefix}/v/{n}"))
 
 
 def state_blobs(state):
@@ -568,7 +599,7 @@ def state_from_blobs(blobs):
             raise ValueError(f"checkpoint lacks the {name!r} blob")
         gen.bit_generator.state = json.loads(blobs[name])
     for n, t in state.theta.parameters():
-        arr = blobs[f"theta/{n}"]
+        arr = _finite_blob(blobs, f"theta/{n}")
         if arr.shape != t.data.shape:
             raise ValueError(f"checkpoint theta/{n} has shape {arr.shape}, "
                              f"expected {t.data.shape}")
@@ -576,7 +607,7 @@ def state_from_blobs(blobs):
     _adam_restore("opt_theta", state.adam_theta, blobs)
     if with_gst:
         for n, t in state.phi.parameters():
-            arr = blobs[f"phi/{n}"]
+            arr = _finite_blob(blobs, f"phi/{n}")
             if arr.shape != t.data.shape:
                 raise ValueError(f"checkpoint phi/{n} has shape {arr.shape}, "
                                  f"expected {t.data.shape}")

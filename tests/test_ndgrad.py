@@ -119,6 +119,43 @@ def test_nonfinite_data_rejected():
         Tensor(np.array(np.nan))
 
 
+def test_nonfinite_op_result_is_named_by_backward():
+    # leaves are finite; the op result overflows and is not scanned when made
+    a = Tensor(np.array(1e200))
+    b = Tensor(np.array([1e200, 1.0]))
+    with np.errstate(over="ignore"):
+        root = tsum(mul(a, b))
+    with pytest.raises(FloatingPointError, match="op 'mul'"):
+        backward(root)
+
+
+def test_nan_weight_makes_reconstruct_scene_raise():
+    from casskit.backbone import srn_init
+    from casskit.optics import Mask, encode
+    from casskit.trainer import reconstruct_scene
+
+    theta = srn_init(2, 4, 1, np.random.default_rng(0))
+    mask = Mask(np.full((5, 6), 0.5))
+    y = encode(RNG.random((5, 6, 2)), mask, 1)
+    reconstruct_scene(theta, y, mask)
+    theta.head_w.data[0, 0, 1, 1] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match=r"reconstruction.*leaf data of shape \(4, 2, 3, 3\)"):
+        reconstruct_scene(theta, y, mask)
+
+
+def test_grad_buffers_are_allocated_lazily():
+    t = Tensor(np.ones((2, 3)))
+    assert t._grad is None
+    assert t.grad.shape == (2, 3) and np.all(t.grad == 0.0)
+    root, (x, w, b, a), u = _two_branch_graph()
+    backward(root, [w])
+    assert w._grad is not None and np.any(w._grad != 0.0)
+    # nothing the sweep runs reaches x, a or u, so none of them gets a buffer
+    for node in (x, a, u, u._parents[0]):
+        assert node._grad is None
+
+
 def test_arrays_must_be_wrapped():
     a = Tensor(np.ones(3))
     with pytest.raises(ShapeError):

@@ -4,7 +4,8 @@ Three static checks that need nothing beyond the standard library:
 every name a module exports exists, every function the benchmark's span
 tracer rebinds exists (it looks them up with no default, so a missing
 one fails every traced run), and no module imports a name it neither
-reads nor exports.
+reads nor exports.  One run under the tracer checks that every tensor
+still has a ``grad`` the tracer can read.
 """
 
 import ast
@@ -53,10 +54,15 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_every_name_the_tracer_rebinds_resolves():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("_casskit_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_name_the_tracer_rebinds_resolves():
+    tracer = _load_tracer()
     hooks = tracer._SPANS + tracer._OPS + tracer._LAYERS
     hooks += [("io", attr) for attr in tracer._WRITERS]
     assert hooks
@@ -76,3 +82,28 @@ def test_no_module_imports_a_name_it_never_uses():
         f"{path.name}: {name}" for path in FILES for name in _unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def test_tracer_counts_every_tensor_and_its_grad_buffer():
+    # the tracer reads t.grad.nbytes as each tensor is made, so a grad
+    # that could not be read would fail every traced benchmark run
+    import numpy as np
+
+    from casskit import ndgrad, trainer
+    from casskit.gstnet import gst_forward
+    from casskit.optics import Mask
+
+    cfg = trainer.TrainConfig(bands=2, d=1, backbone_channels=4, backbone_blocks=1,
+                              gst_channels=4, gst_proj_channels=2)
+    state = trainer.make_state(cfg)
+    rng = np.random.default_rng(0)
+    scenes = [rng.random((6, 6, 2)) for _ in range(2)]
+    mask = Mask(rng.random((6, 6)))
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        loss = trainer.recon_loss(state.theta, gst_forward(mask, state.phi), scenes,
+                                  mask, cfg, rng)
+        ndgrad.backward(loss)
+    m = tracer.layer_metrics()
+    assert m["ndgrad.tensors"][0] > 0
+    assert m["ndgrad.grad_alloc_mb"][0] > 0

@@ -5,6 +5,7 @@ scale identities that must hold exactly; the loop against its freezing
 and determinism contracts, which are all bitwise.
 """
 
+import copy
 import dataclasses
 import gc
 import math
@@ -136,6 +137,15 @@ def test_adam_nan_gradient_diverges():
         opt.step(1e-3)
 
 
+def test_adam_inf_gradient_diverges():
+    p = Tensor(np.array([1.0, 2.0]))
+    opt = Adam([("p", p)])
+    p.grad[...] = np.inf
+    with pytest.raises(TrainingDiverged, match="non-finite gradient in 'p'"):
+        opt.step(1e-3)
+    assert np.array_equal(p.data, [1.0, 2.0])
+
+
 # -- losses -----------------------------------------------------------------
 
 def test_recon_loss_zero_for_perfect_model():
@@ -190,6 +200,53 @@ def test_theta_epochs_under_a_gst_leave_phi_grads_zero():
     bilevel_train(state, scenes, scenes, masks)
     assert [row["phase"] for row in state.log] == ["pretrain", "pretrain", "train"]
     assert all(np.all(t.grad == 0.0) for _, t in state.phi.parameters())
+
+
+def test_theta_epochs_compute_frozen_g_once_per_mask_and_phi(monkeypatch):
+    from casskit import trainer
+
+    cfg = tiny_cfg(t_init=2, t_trn=2, t_val=2, rounds=3)
+    exp = build_experiment(cfg, TINY_SPEC)
+    real_gst, real_epoch, real_recon = trainer.gst_forward, trainer._epoch, trainer.recon_loss
+    now = {}
+    calls = []  # (phase, mask values, phi values) per gst_forward call
+    fed = []  # (round, mask, g) per theta-epoch loss of the rounds
+    phi_before = {}  # round -> phi as its theta epochs find it
+
+    def key(params):
+        return b"".join(t.data.tobytes() for _, t in params.parameters())
+
+    def gst(m, params):
+        calls.append((now["phase"], m.values.tobytes(), key(params)))
+        return real_gst(m, params)
+
+    def epoch(state, scenes, masks, phase, rnd=-1, **kw):
+        now["phase"] = phase
+        if phase == "train":
+            phi_before.setdefault(rnd, copy.deepcopy(state.phi))
+        real_epoch(state, scenes, masks, phase, rnd, **kw)
+
+    def recon(theta, g, batch, mask, *args, **kw):
+        if now["phase"] == "train":
+            fed.append((len(phi_before) - 1, mask, g.data.copy()))
+        return real_recon(theta, g, batch, mask, *args, **kw)
+
+    monkeypatch.setattr(trainer, "gst_forward", gst)
+    monkeypatch.setattr(trainer, "_epoch", epoch)
+    monkeypatch.setattr(trainer, "recon_loss", recon)
+    run_training(exp, mode="full")
+
+    theta_calls = [(m, p) for phase, m, p in calls if phase != "val"]
+    assert theta_calls and len(set(theta_calls)) == len(theta_calls)
+    # pretrain and round 0 share phi, so k_train masks times (1 + rounds) at most
+    assert len(theta_calls) <= TINY_SPEC.k_train * (1 + cfg.rounds)
+    phi_batches = -(-TINY_SPEC.scenes_val // cfg.batch)
+    assert sum(phase == "val" for phase, _, _ in calls) == cfg.rounds * cfg.t_val * phi_batches
+    phis = [key(phi) for phi in phi_before.values()]
+    assert len(set(phis)) == cfg.rounds  # phi moved in every round's phi epochs
+    assert fed and {r for r, _, _ in fed} == set(range(cfg.rounds))
+    for r, m, g in fed:
+        assert np.array_equal(g, real_gst(m, phi_before[r]).data)
 
 
 def test_recon_loss_attached_reaches_phi():
@@ -653,6 +710,17 @@ def test_state_blobs_structure_and_corruption_detection():
     name = next(k for k in bad if k.startswith("theta/"))
     bad[name] = np.zeros((2, 2))  # wrong shape for that parameter
     with pytest.raises(ValueError):
+        state_from_blobs(bad)
+
+
+@pytest.mark.parametrize("prefix", ["theta/", "phi/", "opt_theta/m/", "opt_phi/v/"])
+def test_state_from_blobs_names_a_nonfinite_blob(prefix):
+    blobs = state_blobs(make_state(tiny_cfg()))
+    name = next(k for k in blobs if k.startswith(prefix))
+    bad = dict(blobs)
+    bad[name] = blobs[name].copy()
+    bad[name].flat[0] = np.nan
+    with pytest.raises(ValueError, match=f"{name!r} holds non-finite"):
         state_from_blobs(bad)
 
 
