@@ -8,12 +8,16 @@ commit, can be measured by the same script for a before/after pair.
 Every measurement runs in a fresh ``python3`` subprocess with one BLAS
 thread, so peak RSS belongs to that measurement alone:
 
-- ``train_full_seed{0,1,2}``: wall time and peak RSS of one default-scale
-  ``run_training(mode="full")``;
+- ``train_full_seed{0,1,2}``: wall time, peak RSS, minor page faults and
+  system CPU seconds of one default-scale ``run_training(mode="full")``;
+- ``train_gst32_seed3``: the same for one ``full`` run shaped like
+  perfbench's ``train-gst32`` workload (32x32 scenes, 4 train and 4
+  validation scenes, ``t_init`` 4, 12 rounds), where an activation is as
+  large as glibc's default mmap threshold;
 - ``evaluate``: wall time of ``evaluate`` at default scale and seed 0;
-- ``step_128x128x28``: wall time and peak RSS of one batch-4 loss and
-  backward at 128x128 pixels and 28 bands, with g from the deviation
-  network on the tape, as in a phi step;
+- ``step_128x128x28``: wall time, peak RSS, minor page faults and system
+  CPU seconds of one batch-4 loss and backward at 128x128 pixels and 28
+  bands, with g from the deviation network on the tape, as in a phi step;
 - ``tier1``: wall time of the tier-1 test suite and its summary line;
 - ``layers``: per-layer figures of the seed-0 full run, read through
   ``perfbench/tracer.py``.
@@ -44,14 +48,26 @@ def _peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
-def _train(seed):
+def _usage_since(r0):
+    """Minor page faults and system CPU seconds since the getrusage snapshot r0."""
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return {"minflt": r.ru_minflt - r0.ru_minflt, "sys_s": r.ru_stime - r0.ru_stime}
+
+
+GST32 = ({"t_init": 4, "rounds": 12},
+         {"scene_h": 32, "scene_w": 32, "scenes_train": 4, "scenes_val": 4})
+
+
+def _train(seed, cfg_kw=None, spec_kw=None):
     from casskit.harness import ScenarioSpec, build_experiment, run_training
     from casskit.trainer import TrainConfig
 
-    exp = build_experiment(TrainConfig(seed=seed), ScenarioSpec())
+    exp = build_experiment(TrainConfig(seed=seed, **(cfg_kw or {})), ScenarioSpec(**(spec_kw or {})))
+    r0 = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
     run_training(exp, mode="full")
-    return {"wall_s": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
+    wall = time.perf_counter() - t0
+    return {"wall_s": wall, "peak_rss_mb": _peak_rss_mb(), **_usage_since(r0)}
 
 
 def _evaluate():
@@ -80,10 +96,12 @@ def _step():
     mask = Mask(rng.uniform(0.05, 0.95, (128, 128)))
     theta = srn_init(cfg.bands, cfg.backbone_channels, cfg.backbone_blocks, rng)
     phi = gst_init(cfg.gst_channels, cfg.gst_proj_channels, rng)
+    r0 = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
     loss = recon_loss(theta, gst_forward(mask, phi), batch, mask, cfg, rng)
     backward(loss)
-    return {"wall_s": time.perf_counter() - t0, "peak_rss_mb": _peak_rss_mb()}
+    wall = time.perf_counter() - t0
+    return {"wall_s": wall, "peak_rss_mb": _peak_rss_mb(), **_usage_since(r0)}
 
 
 def _layers():
@@ -107,6 +125,7 @@ CHILDREN = {
     "train_full_seed0": lambda: _train(0),
     "train_full_seed1": lambda: _train(1),
     "train_full_seed2": lambda: _train(2),
+    "train_gst32_seed3": lambda: _train(3, *GST32),
     "evaluate": _evaluate,
     "step_128x128x28": _step,
     "layers": _layers,

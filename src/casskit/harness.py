@@ -455,6 +455,18 @@ def run_gradient_suite(quick=False, h=1e-5):
          Tensor(rnd((3,)))],
         lambda ps: tsum(nd.conv2d(ps[0], ps[1], ps[2])),
     ), 1e-6)
+
+    def conv_squared(ps):
+        c = nd.conv2d(ps[0], ps[1], ps[2])
+        return tsum(nd.mul(c, c))
+
+    # one input channel, as in the GST net's first layer, and a 5x5 kernel,
+    # whose row stack pads by 2
+    check("conv2d-1ch-k5", lambda: (
+        [Tensor(rnd((1, 6, 8))), Tensor(rnd((2, 1, 5, 5), -0.5, 0.5)),
+         Tensor(rnd((2,)))],
+        conv_squared,
+    ), 1e-6)
     check("sum", unary(nd.tsum, lambda: rnd(shape)), 1e-6)
     check("mean", unary(nd.tmean, lambda: rnd(shape)), 1e-6)
     check("reshape", lambda: (

@@ -13,10 +13,15 @@ freed by reference counting as soon as its root is dropped; the cyclic
 garbage collector never has to find it.
 
 A closure holds its operand tensors and small saved values, never a
-buffer larger than its operands: conv2d, for one, recomputes its padded
-input inside the backward closure instead of keeping it from the forward,
-and neither direction builds a k*k times larger column matrix.  Closures
-read their operands' ``.data`` when they run, so an operand must not be
+buffer larger than its operands: conv2d, for one, rebuilds its padded
+input inside the backward closure instead of keeping it from the forward.
+Each conv2d kernel is k matmuls of inner size k*C_in, one per kernel tap
+row, over a row stack of k shifted copies of the padded input, so no
+k*k times larger column matrix is built.  Its transient buffers come from
+a module-private scratch store, one buffer per (role, shape) reused
+across calls, so a training step faults in no fresh pages for them; no
+result, gradient or closure aliases a scratch buffer.  Closures read
+their operands' ``.data`` when they run, so an operand must not be
 changed in place before :func:`backward` has run.
 
 A sweep computes only the gradients its caller asks for:
@@ -293,61 +298,103 @@ def matmul(a, b):
     return Tensor(a.data @ b.data, (a, b), _bw)
 
 
-def _pad_flat(a, p):
-    """[C, H, W] -> [C, (H+2p)*(W+2p) + 2p]: zero-padded, rows end to end.
+_SCRATCH = {}
 
-    For tap (i, j) of a k = 2p+1 window, the values every output pixel
-    reads then form one contiguous window of H*(W+2p) columns at offset
-    i*(W+2p)+j; each output row carries 2p scratch columns.  The 2p spare
-    zeros at the end hold the last tap's window.  With p = 0 this is a
+
+def _scratch(role, shape):
+    """The reused transient buffer of conv2d for ``role`` at ``shape``.
+
+    One zero-filled buffer per (role, shape), made on first request and
+    kept for the life of the process, so alternating layer shapes do not
+    evict each other and no step faults in fresh pages.  A buffer's
+    contents are valid only until the next request for the same key, so
+    nothing a closure holds, and nothing an op returns or leaves in a
+    gradient, may alias one.
+    """
+    key = (role, shape)
+    buf = _SCRATCH.get(key)
+    if buf is None:
+        buf = _SCRATCH[key] = _zeros(shape)
+    return buf
+
+
+def _row_stack(a, k):
+    """[C, H, W] -> row stack [k, C, (H+2p)*(W+2p)], p = (k-1)/2, in scratch.
+
+    ``S[j]`` is the zero-padded input with its rows laid end to end,
+    shifted left by j columns.  Tap row i of a k x k window then reads the
+    one view ``S[:, :, i*(W+2p) : i*(W+2p) + H*(W+2p)]``: row (j, c) of
+    that ``[k*C, H*(W+2p)]`` matrix holds channel c at tap (i, j) for every
+    output pixel, and each output row carries 2p scratch columns.  Only
+    the interior of ``S[0]`` is written, always at the same places for a
+    given buffer, and ``S[j]`` copies ``S[0]`` from column j on, so the
+    zero borders are never written with anything but zeros and the last
+    j columns of ``S[j]`` are never written at all.  With k = 1 this is a
     view of ``a``.
     """
     c, h, w = a.shape
-    if p == 0:
-        return a.reshape(c, h * w)
+    if k == 1:
+        return a.reshape(1, c, h * w)
+    p = (k - 1) // 2
     hp, wp = h + 2 * p, w + 2 * p
-    flat = np.zeros((c, hp * wp + 2 * p))
-    flat[:, : hp * wp].reshape(c, hp, wp)[:, p : p + h, p : p + w] = a
-    return flat
+    n = hp * wp
+    stack = _scratch("stack", (k, c, hp, wp)).reshape(k, c, n)
+    stack[0, :, p * wp + p : p * wp + p + h * wp].reshape(c, h, wp)[:, :, :w] = a
+    for j in range(1, k):
+        stack[j, :, : n - j] = stack[0, :, j:]
+    return stack
 
 
-def _shifted_correlate(a, taps):
-    """Same-padded correlation of [C, H, W] with taps [k, k, C_out, C].
+def _tap_row(stack, i, k, h, wp):
+    # [k, C, L] -> the [k*C, H*(W+2p)] window of tap row i; strides stay
+    # uniform, so this is a view BLAS reads with a leading dimension of L
+    return stack[:, :, i * wp : i * wp + h * wp].reshape(k * stack.shape[1], h * wp)
 
-    Each tap is one matmul over a window of :func:`_pad_flat`'s padded
-    copy, so no k*k times larger column matrix is built; the scratch
-    columns are dropped at the end.  A 1x1 kernel is one plain matmul.
+
+def _shifted_correlate(a, rows):
+    """Same-padded correlation of [C, H, W] with tap rows [k, C_out, k*C].
+
+    ``rows[i]`` holds tap row i of the kernel with column j*C + c for tap
+    (i, j) of channel c.  The correlation is k matmuls of inner size k*C,
+    one per tap row, over :func:`_row_stack`'s view, summed in a scratch
+    accumulator.  Returns a [C_out, H, W] view of scratch: the caller must
+    copy or add it out before the next conv2d kernel runs.
     """
     c, h, w = a.shape
-    k = taps.shape[0]
-    p = (k - 1) // 2
-    wp = w + 2 * p
-    flat = _pad_flat(a, p)
+    k, cout = rows.shape[:2]
+    wp = w + k - 1
     n = h * wp
-    out = taps[0, 0] @ flat[:, :n]
-    for i in range(k):
-        for j in range(k):
-            if i or j:
-                off = i * wp + j
-                out += taps[i, j] @ flat[:, off : off + n]
-    return out.reshape(-1, h, wp)[:, :, :w]
+    stack = _row_stack(a, k)
+    acc = _scratch("acc", (cout, n))
+    np.matmul(rows[0], _tap_row(stack, 0, k, h, wp), out=acc)
+    if k > 1:
+        prod = _scratch("prod", (cout, n))
+        for i in range(1, k):
+            np.matmul(rows[i], _tap_row(stack, i, k, h, wp), out=prod)
+            acc += prod
+    return acc.reshape(cout, h, wp)[:, :, :w]
 
 
 def conv2d(x, kernel, bias):
     """Same-padded stride-1 cross-correlation.
 
     x is [C_in, H, W], kernel [C_out, C_in, k, k] with k odd, bias [C_out].
-    Output is [C_out, H, W].  The forward is k*k shifted matmuls over one
-    zero-padded copy of the input (a plain matmul when k is 1), so it never
-    builds the k*k times larger column matrix, and neither does the
-    backward.  Its closure holds only the three operands and reads their
-    ``.data`` when it runs, so no operand may be changed in place between
-    forward and backward (casskit steps its optimizers only after
-    :func:`backward`).  The kernel gradient of tap (i, j) is one matmul of
+    Output is [C_out, H, W].  The forward is k matmuls of inner size
+    k*C_in, one per tap row, over a row stack of k shifted copies of the
+    zero-padded input (see :func:`_row_stack`), so it never builds the k*k
+    times larger column matrix, and neither does the backward.  The row
+    stack, the zero-laid output gradient, the per-row product and the
+    pre-bias accumulator are reused scratch buffers, one per (role,
+    shape), never aliased by a result, a gradient or a closure.
+
+    The closure holds only the three operands and reads their ``.data``
+    when it runs, so no operand may be changed in place between forward
+    and backward (casskit steps its optimizers only after
+    :func:`backward`).  The kernel gradient of tap row i is one matmul of
     the output gradient, laid out with zeros in the scratch columns,
-    against the same window of the padded input the forward reads; the
-    input gradient is a shifted correlation of the output gradient with
-    the spatially flipped, in/out-transposed kernel.
+    against the same row-stack view the forward reads; the input gradient
+    is a shifted correlation of the output gradient with the spatially
+    flipped, in/out-transposed kernel.
     """
     for t in (x, kernel, bias):
         if not isinstance(t, Tensor):
@@ -367,29 +414,28 @@ def conv2d(x, kernel, bias):
     if bias.data.shape != (cout,):
         raise ShapeError(f"conv2d bias must be [{cout}], got {bias.data.shape}")
 
-    val = _shifted_correlate(x.data, kernel.data.transpose(2, 3, 0, 1))
-    val = val.reshape(cout, h, w) + bias.data[:, None, None]
+    rows = kernel.data.transpose(2, 0, 3, 1).reshape(kh, cout, kh * cin)
+    val = _shifted_correlate(x.data, rows) + bias.data[:, None, None]
 
     def _bw(g):
         if bias._need:
             bias._grad += g.reshape(cout, h * w).sum(axis=1)
         if kernel._need:
-            p = (kh - 1) // 2
-            wp = w + 2 * p
-            gz = g
-            if p:
-                gz = np.zeros((cout, h, wp))
+            wp = w + kh - 1
+            gz = g.reshape(cout, h * w)
+            if kh > 1:
+                gz = _scratch("gz", (cout, h, wp))
                 gz[:, :, :w] = g
-            gz = gz.reshape(cout, h * wp)
-            flat = _pad_flat(x.data, p)
-            gk = np.empty((kh, kh, cout, cin))
+                gz[:, :, w:] = 0.0  # the buffer may serve another kernel size
+                gz = gz.reshape(cout, h * wp)
+            stack = _row_stack(x.data, kh)
+            gk = np.empty((kh, cout, kh * cin))
             for i in range(kh):
-                for j in range(kh):
-                    off = i * wp + j
-                    np.matmul(gz, flat[:, off : off + h * wp].T, out=gk[i, j])
-            kernel._grad += gk.transpose(2, 3, 0, 1)
+                np.matmul(gz, _tap_row(stack, i, kh, h, wp).T, out=gk[i])
+            kernel._grad += gk.reshape(kh, cout, kh, cin).transpose(1, 3, 0, 2)
         if x._need:
-            x._grad += _shifted_correlate(g, kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0))
+            flipped = kernel.data[:, :, ::-1, ::-1].transpose(2, 1, 3, 0)
+            x._grad += _shifted_correlate(g, flipped.reshape(kh, cin, kh * cout))
 
     return Tensor(val, (x, kernel, bias), _bw)
 

@@ -193,14 +193,17 @@ class Adam(object):
             t.grad[...] = 0.0
 
     def step(self, lr):
+        # every gradient is checked before any state moves, so a diverged
+        # step leaves parameters, moments and t as they were
+        for n, t in self.named:
+            if not np.all(np.isfinite(t.grad)):
+                raise TrainingDiverged(
+                    f"non-finite gradient in {n!r} at optimizer step {self.t + 1}")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for n, t in self.named:
             g = t.grad
-            if not np.all(np.isfinite(g)):
-                raise TrainingDiverged(
-                    f"non-finite gradient in {n!r} at optimizer step {self.t}")
             m = self.m[n]
             v = self.v[n]
             m *= self.beta1

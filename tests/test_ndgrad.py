@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casskit import ndgrad as nd
 from casskit.ndgrad import (
     ShapeError,
     Tensor,
@@ -372,6 +373,87 @@ def test_conv2d_backward_holds_no_array_larger_than_its_input(k):
     held = [c.cell_contents for c in out._backward.__closure__]
     sizes = [a.nbytes for a in held if isinstance(a, np.ndarray)]
     assert all(n <= x.data.nbytes for n in sizes), sizes
+
+
+# -- conv2d's scratch store ---------------------------------------------------
+
+# (C_in, C_out, k, H, W), all non-square.  The first two share the zero-laid
+# output gradient's buffer shape (3, 7, 8) at different kernel sizes; the
+# 5x8 and 8x5 inputs pad to row stacks of the same size but different
+# borders; the last repeats the first, so its keys are reused.
+SCRATCH_SHAPES = [
+    (1, 3, 3, 7, 6),
+    (16, 3, 5, 7, 4),
+    (1, 16, 1, 5, 8),
+    (16, 16, 3, 5, 8),
+    (16, 2, 3, 8, 5),
+    (16, 2, 5, 6, 9),
+    (1, 3, 3, 7, 6),
+]
+
+
+def _interleaved_convs():
+    """Every forward first, then every backward in reverse, as on a tape."""
+    rng = np.random.default_rng(77)
+    cases = []
+    for cin, cout, k, h, w in SCRATCH_SHAPES:
+        x = Tensor(rng.normal(size=(cin, h, w)))
+        kern = Tensor(rng.normal(size=(cout, cin, k, k)))
+        b = Tensor(rng.normal(size=cout))
+        gout = rng.normal(size=(cout, h, w))
+        cases.append((x, kern, b, gout, conv2d(x, kern, b)))
+    for x, kern, b, gout, out in reversed(cases):
+        backward(tsum(mul(out, Tensor(gout))))
+    return cases
+
+
+def _recording_scratch(monkeypatch):
+    seen = set()
+    take = nd._scratch
+    monkeypatch.setattr(nd, "_SCRATCH", {})
+    monkeypatch.setattr(nd, "_scratch", lambda role, shape: seen.add((role, shape)) or take(role, shape))
+    return seen
+
+
+def test_conv2d_interleaved_shapes_match_naive(monkeypatch):
+    _recording_scratch(monkeypatch)
+    for x, kern, b, gout, out in _interleaved_convs():
+        k = kern.shape[2]
+        np.testing.assert_allclose(out.data, naive_conv2d(x.data, kern.data, b.data), atol=1e-12)
+        np.testing.assert_allclose(x.grad, naive_conv2d_adjoint(gout, kern.data, x.shape), atol=1e-12)
+        np.testing.assert_allclose(kern.grad, naive_conv2d_kernel_adjoint(gout, x.data, k), atol=1e-12)
+        np.testing.assert_allclose(b.grad, gout.sum(axis=(1, 2)), atol=1e-12)
+
+
+def test_conv2d_results_and_closures_never_alias_scratch(monkeypatch):
+    _recording_scratch(monkeypatch)
+    cases = _interleaved_convs()
+    held = []
+    for x, kern, b, _, out in cases:
+        held += [out.data, out.grad, x.grad, kern.grad, b.grad]
+        for cell in out._backward.__closure__:
+            v = cell.cell_contents
+            held += [v.data] if isinstance(v, Tensor) else [v] if isinstance(v, np.ndarray) else []
+    scratch = list(nd._SCRATCH.values())
+    assert scratch
+    for arr in held:
+        assert not any(np.shares_memory(arr, buf) for buf in scratch)
+
+
+def test_conv2d_scratch_holds_one_buffer_per_role_and_shape(monkeypatch):
+    seen = _recording_scratch(monkeypatch)
+    first = [(out.data, x.grad, kern.grad) for x, kern, _, _, out in _interleaved_convs()]
+    bufs = dict(nd._SCRATCH)
+    assert set(bufs) == seen
+    assert all(buf.shape == shape for (_, shape), buf in bufs.items())
+    # a second round reuses every buffer and, its zero borders untouched,
+    # gives bit-identical results
+    again = [(out.data, x.grad, kern.grad) for x, kern, _, _, out in _interleaved_convs()]
+    assert nd._SCRATCH.keys() == bufs.keys()
+    assert all(nd._SCRATCH[key] is buf for key, buf in bufs.items())
+    for a, b in zip(first, again):
+        for u, v in zip(a, b):
+            assert np.array_equal(u, v)
 
 
 # -- gradients for a chosen set of leaves -----------------------------------

@@ -146,6 +146,24 @@ def test_adam_inf_gradient_diverges():
     assert np.array_equal(p.data, [1.0, 2.0])
 
 
+def test_adam_diverged_step_touches_no_state():
+    # a is listed first with a finite gradient: a half-applied step would
+    # move it, its moments and t before reaching b
+    a = Tensor(np.array([1.0]))
+    b = Tensor(np.array([2.0]))
+    opt = Adam([("a", a), ("b", b)])
+    a.grad[...] = 0.5
+    b.grad[...] = np.inf
+    with pytest.raises(TrainingDiverged, match="'b' at optimizer step 1"):
+        opt.step(0.1)
+    assert np.array_equal(a.data, [1.0])
+    assert np.array_equal(b.data, [2.0])
+    assert opt.t == 0
+    for n in ("a", "b"):
+        assert np.array_equal(opt.m[n], [0.0])
+        assert np.array_equal(opt.v[n], [0.0])
+
+
 # -- losses -----------------------------------------------------------------
 
 def test_recon_loss_zero_for_perfect_model():
