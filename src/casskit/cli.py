@@ -17,20 +17,24 @@ import os
 import sys
 
 from . import harness, io
-from .trainer import config_text, load_state, save_state, train_regime
+from .trainer import REGIMES, config_text, load_state, save_state, train_regime
 
 __all__ = ["main"]
 
 
-def _read_config(path):
-    if path is None:
-        return harness.load_config("")
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as e:
-        raise io.ConfigError(f"cannot read config {path!r}: {e}") from None
-    return harness.load_config(text)
+def _read_config(args):
+    """The run's (TrainConfig, ScenarioSpec): ``--config``, then ``--seed``."""
+    text = ""
+    if args.config is not None:
+        try:
+            with open(args.config) as f:
+                text = f.read()
+        except OSError as e:
+            raise io.ConfigError(f"cannot read config {args.config!r}: {e}") from None
+    cfg, spec = harness.load_config(text)
+    if args.seed is not None:
+        cfg.seed = args.seed
+    return cfg, spec
 
 
 def _add_common(p):
@@ -39,15 +43,8 @@ def _add_common(p):
     p.add_argument("--out-dir", required=True, help="output directory")
 
 
-def _apply_seed(cfg, args):
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
-
-
 def _cmd_gen_masks(args):
-    cfg, spec = _read_config(args.config)
-    _apply_seed(cfg, args)
+    cfg, spec = _read_config(args)
     exp = harness.build_experiment(cfg, spec)
     harness.write_masks(args.out_dir, exp)
     print(
@@ -85,8 +82,7 @@ def _check_resume_config(cfg, spec, state):
 
 
 def _cmd_train(args):
-    cfg, spec = _read_config(args.config)
-    _apply_seed(cfg, args)
+    cfg, spec = _read_config(args)
     exp = harness.build_experiment(cfg, spec)
     if args.resume:
         # the checkpoint's own regime; --mode does not apply
@@ -108,8 +104,7 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    cfg, spec = _read_config(args.config)
-    _apply_seed(cfg, args)
+    cfg, spec = _read_config(args)
     state = load_state(args.checkpoint)
     exp = harness.build_experiment(cfg, spec)
     report = harness.evaluate(state, exp, spec.kind)
@@ -125,8 +120,7 @@ def _cmd_eval(args):
 
 
 def _cmd_ablate(args):
-    cfg, spec = _read_config(args.config)
-    _apply_seed(cfg, args)
+    cfg, spec = _read_config(args)
     results = harness.run_ablation(args.kind, cfg, spec, out_dir=args.out_dir)
     for label, report in results.items():
         agg = report.aggregate()["overall"]
@@ -135,8 +129,7 @@ def _cmd_ablate(args):
 
 
 def _cmd_uncertainty(args):
-    cfg, spec = _read_config(args.config)
-    _apply_seed(cfg, args)
+    cfg, spec = _read_config(args)
     state = load_state(args.checkpoint)
     exp = harness.build_experiment(cfg, spec)
     maps = harness.uncertainty_maps(state, exp, out_dir=args.out_dir)
@@ -171,7 +164,7 @@ def _build_parser():
     q.add_argument(
         "--mode",
         default="full",
-        choices=("full", "no-gst", "no-bilevel", "fixed-variance"),
+        choices=[m for m in REGIMES if m != "untrained"],
         help="training regime",
     )
     q.add_argument(
@@ -191,7 +184,7 @@ def _build_parser():
     q.add_argument(
         "--kind",
         required=True,
-        choices=("no-gst", "no-bilevel", "fixed-variance", "prior-study"),
+        choices=harness.ABLATIONS,
     )
     q.set_defaults(fn=_cmd_ablate)
 

@@ -13,7 +13,9 @@ Ablations reuse the same bundle with the training regime swapped out:
 single-loop optimization of both networks on the training scenes),
 ``fixed-variance`` (constant perturbation spread instead of the learned
 map), and ``prior-study`` (full method under different fabrication-error
-priors).  The harness holds no training loop: ``run_training`` makes a
+priors, set through ``prior_mu`` and ``prior_sigma``).  Every variant is
+one :func:`run_scenario` on its own config, so its ``config.txt``
+rebuilds it.  The harness holds no training loop: ``run_training`` makes a
 fresh state, records its regime, and hands it to
 :func:`casskit.trainer.train_regime`; every control gets the full
 method's theta budget.  Reports land as deterministic CSV files,
@@ -23,7 +25,7 @@ uncertainty maps as PGM images plus raw cube dumps.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .trainer import (
 )
 
 __all__ = [
+    "ABLATIONS",
     "ScenarioSpec",
     "Experiment",
     "gen_synth_scenes",
@@ -72,7 +75,7 @@ __all__ = [
 ]
 
 _KINDS = ("one-to-one", "one-to-many", "many-to-many")
-_ABLATIONS = ("no-gst", "no-bilevel", "fixed-variance", "prior-study")
+ABLATIONS = ("no-gst", "no-bilevel", "fixed-variance", "prior-study")
 
 # fixed role indices for deriving independent generator streams from one seed
 _ROLE_SCENES = 1
@@ -104,6 +107,7 @@ class ScenarioSpec:
     eval_noise_std: float = 0.0
 
     def validate(self):
+        io.check_finite_fields(self)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; one of {_KINDS}")
         if min(self.scene_h, self.scene_w) < 4:
@@ -199,12 +203,10 @@ class Experiment:
     test_masks: MaskSet
 
 
-def build_experiment(cfg, spec, prior=None):
-    """Generate the scene splits and fabricate the train and test masks."""
+def build_experiment(cfg, spec):
+    """Generate the scene splits; fabricate masks under the config's prior."""
     cfg.validate()
     spec.validate()
-    if prior is None:
-        prior = NoisePrior(cfg.prior_mu, cfg.prior_sigma)
     scene_rng = _role_rng(cfg.seed, _ROLE_SCENES)
     n = spec.scenes_train + spec.scenes_val + spec.scenes_test
     scenes = gen_synth_scenes(n, spec.scene_h, spec.scene_w, cfg.bands, scene_rng)
@@ -216,7 +218,7 @@ def build_experiment(cfg, spec, prior=None):
     clean = synthesize_clean_mask(
         spec.mask_base_h, spec.mask_base_w, spec.mask_density, mask_rng
     )
-    base = realize_mask(clean, prior, mask_rng)
+    base = realize_mask(clean, NoisePrior(cfg.prior_mu, cfg.prior_sigma), mask_rng)
     if spec.kind == "one-to-one":
         train_masks, _ = build_mask_sets(
             base, (spec.scene_h, spec.scene_w), 1, 0, mask_rng
@@ -306,11 +308,10 @@ def run_config_text(cfg, spec):
     return io.format_config(d)
 
 
-def run_scenario(cfg, spec, out_dir=None, mode="full", state=None, prior=None):
-    """Build, train (unless a state is supplied), evaluate, emit, report."""
-    exp = build_experiment(cfg, spec, prior=prior)
-    if state is None:
-        state = run_training(exp, mode=mode)
+def run_scenario(cfg, spec, out_dir=None, mode="full", fixed_g=0.0):
+    """Build, train, evaluate, emit (given ``out_dir``); returns (state, report)."""
+    exp = build_experiment(cfg, spec)
+    state = run_training(exp, mode=mode, fixed_g=fixed_g)
     report = evaluate(state, exp, f"{spec.kind}/{mode}")
     if out_dir is not None:
         _emit(out_dir, exp, state, report)
@@ -318,31 +319,28 @@ def run_scenario(cfg, spec, out_dir=None, mode="full", state=None, prior=None):
 
 
 def run_ablation(kind, cfg, spec, out_dir=None, g0_values=(0.0, 0.1), priors=None):
-    """Run one ablation family; returns {variant label: TrialReport}."""
-    if kind not in _ABLATIONS:
-        raise ValueError(f"unknown ablation {kind!r}; one of {_ABLATIONS}")
-    results = {}
+    """Run one ablation family; returns {variant label: TrialReport}.
 
-    def _one(label, mode, fixed_g=0.0, prior=None):
-        exp = build_experiment(cfg, spec, prior=prior)
-        state = run_training(exp, mode=mode, fixed_g=fixed_g)
-        report = evaluate(state, exp, label)
-        if out_dir is not None:
-            _emit(os.path.join(out_dir, label), exp, state, report)
-        results[label] = report
-
-    if kind == "no-gst":
-        _one("no-gst", "no-gst")
-    elif kind == "no-bilevel":
-        _one("no-bilevel", "no-bilevel")
-    elif kind == "fixed-variance":
-        for g0 in g0_values:
-            _one(f"fixed-variance-g{g0:g}", "fixed-variance", fixed_g=g0)
-    else:
+    Each variant is one :func:`run_scenario`, emitted to ``out_dir/<label>``.
+    """
+    if kind not in ABLATIONS:
+        raise ValueError(f"unknown ablation {kind!r}; one of {ABLATIONS}")
+    if kind == "fixed-variance":
+        variants = [(f"fixed-variance-g{g0:g}", cfg, kind, g0) for g0 in g0_values]
+    elif kind == "prior-study":
         if priors is None:
             priors = (PRIOR_DEFAULT, PRIOR_WIDE, PRIOR_STDNORM)
-        for p in priors:
-            _one(f"prior-mu{p.mu:g}-sigma{p.sigma:g}", "full", prior=p)
+        variants = [
+            (f"prior-mu{p.mu:g}-sigma{p.sigma:g}",
+             replace(cfg, prior_mu=p.mu, prior_sigma=p.sigma), "full", 0.0)
+            for p in priors
+        ]
+    else:
+        variants = [(kind, cfg, kind, 0.0)]
+    results = {}
+    for label, variant_cfg, mode, g0 in variants:
+        sub = None if out_dir is None else os.path.join(out_dir, label)
+        results[label] = run_scenario(variant_cfg, spec, sub, mode, fixed_g=g0)[1]
     return results
 
 

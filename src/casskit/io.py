@@ -37,6 +37,7 @@ __all__ = [
     "parse_config",
     "format_config",
     "coerce_dataclass",
+    "check_finite_fields",
     "write_metrics_csv",
     "write_loss_log_csv",
     "write_histogram_csv",
@@ -321,6 +322,14 @@ def coerce_dataclass(items, cls, *, used=None):
             value = raw
         kwargs[key] = value
     return cls(**kwargs)
+
+
+def check_finite_fields(obj):
+    """Reject a dataclass whose float fields hold nan or inf, naming the key."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def _fmt(x):

@@ -3,7 +3,8 @@
 Every regime is a schedule over one epoch helper that steps theta, phi or
 both and logs one row, all sharing one Monte-Carlo reconstruction loss:
 
-* ``pretrain`` warms up the reconstruction weights theta alone.
+* ``pretrain`` warms up the reconstruction weights theta alone, under
+  masks perturbed through the frozen phi when the state has one.
 * ``bilevel_train`` alternates rounds: a few epochs updating theta on the
   training scenes (deviation map treated as constant), then a few epochs
   updating the deviation network phi on held-out validation scenes using
@@ -50,7 +51,7 @@ from . import io
 from .backbone import SrnParams, reconstruct, srn_init
 from .gstnet import GstParams, gst_forward, gst_init
 from .maskmodel import entropy_term, sample_perturbed
-from .ndgrad import Tensor, add, backward, check_finite, mul, neg, tmean, tsum
+from .ndgrad import Tensor, add, backward, check_finite, mul, neg, tmean
 from .optics import (
     _cube_values,
     _mask_values,
@@ -127,12 +128,11 @@ class TrainConfig:
     batch: int = 4
     beta: float = 1e-3
     lr_halve_period: int = 50
-    loss_scale: str = "mean"  # mean | paper (dataset-size / batch prefactor, sum over pixels)
     entropy_flip: bool = False  # subtract the entropy term instead of adding it
-    pretrain_perturb: bool = True  # perturb masks during pretraining too
     seed: int = 0
 
     def validate(self):
+        io.check_finite_fields(self)
         if self.bands < 1:
             raise ValueError(f"bands must be >= 1, got {self.bands}")
         if self.d < 0:
@@ -156,8 +156,6 @@ class TrainConfig:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.lr_halve_period < 1:
             raise ValueError(f"lr_halve_period must be >= 1, got {self.lr_halve_period}")
-        if self.loss_scale not in ("mean", "paper"):
-            raise ValueError(f"unknown loss_scale {self.loss_scale!r}")
         return self
 
 
@@ -214,7 +212,7 @@ class Adam(object):
 
 
 def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
-               noise_fields=None, n_total=None):
+               noise_fields=None):
     """Monte-Carlo reconstruction loss over one batch and one mask.
 
     ``g`` is the per-pixel deviation map, a Tensor, or None for the raw
@@ -223,9 +221,7 @@ def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
     reconstructs from the windowed initialization, so the loss reaches
     whatever ``g`` hangs from on the tape.  ``eps_list`` and
     ``noise_fields`` override the draws from ``rng`` and add measurement
-    noise.  The default scaling is the mean over batch and pixels;
-    ``loss_scale="paper"`` uses the dataset-size / batch-size prefactor
-    on per-sample sums, with ``n_total`` the dataset size.
+    noise.  The loss is the mean over batch and pixels.
     """
     scenes = [_cube_values(x) for x in batch]
     if not scenes:
@@ -245,20 +241,15 @@ def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
         xhat = reconstruct(x_in, theta)
         diff = add(xhat, neg(Tensor(cube_to_chw(xv))))
         sq = mul(diff, diff)
-        terms.append(tsum(sq) if cfg.loss_scale == "paper" else tmean(sq))
+        terms.append(tmean(sq))
     acc = terms[0]
     for t in terms[1:]:
         acc = add(acc, t)
-    nb = len(scenes)
-    if cfg.loss_scale == "paper":
-        scale = float(nb if n_total is None else n_total) / nb
-    else:
-        scale = 1.0 / nb
-    return mul(acc, scale)
+    return mul(acc, 1.0 / len(scenes))
 
 
 def total_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
-               noise_fields=None, n_total=None):
+               noise_fields=None):
     """Reconstruction loss plus beta-weighted mask entropy of ``g``.
 
     Returns (total, recon, mean_entropy_float); the entropy is None when
@@ -266,8 +257,7 @@ def total_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
     two are bit-identical.
     """
     loss = recon_loss(
-        theta, g, batch, mask, cfg, rng,
-        eps_list=eps_list, noise_fields=noise_fields, n_total=n_total,
+        theta, g, batch, mask, cfg, rng, eps_list=eps_list, noise_fields=noise_fields
     )
     if g is None:
         return loss, loss, None
@@ -410,11 +400,10 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
         else:
             g = None
         if lr_phi is None:
-            loss = recon_loss(state.theta, g, batch, m, cfg, eps,
-                              noise_fields=noise, n_total=len(scenes))
+            loss = recon_loss(state.theta, g, batch, m, cfg, eps, noise_fields=noise)
         else:
             loss, _recon, ent = total_loss(state.theta, g, batch, m, cfg, eps,
-                                           noise_fields=noise, n_total=len(scenes))
+                                           noise_fields=noise)
             ent_tot += ent
         backward(loss, wrt)
         for opt, lr in stepped:
@@ -433,10 +422,9 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
 def pretrain(state, train_scenes, masks):
     """Warm up theta on the training scenes until ``state.epoch`` is ``t_init``."""
     cfg = state.cfg
-    phi = state.phi if cfg.pretrain_perturb else None
     while state.epoch < cfg.t_init:
         lr = lr_schedule(cfg.alpha0, state.epoch, cfg.lr_halve_period)
-        _epoch(state, train_scenes, masks, "pretrain", lr_theta=lr, phi=phi)
+        _epoch(state, train_scenes, masks, "pretrain", lr_theta=lr, phi=state.phi)
     return state
 
 

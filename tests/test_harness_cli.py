@@ -6,12 +6,15 @@ reconstruction quality.
 """
 
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from casskit.cli import main
 from casskit.harness import (
+    ABLATIONS,
     ScenarioSpec,
     build_experiment,
     evaluate,
@@ -33,7 +36,14 @@ from casskit.io import (
     parse_config,
     save_checkpoint,
 )
-from casskit.trainer import TrainConfig, make_state, state_blobs, state_from_blobs
+from casskit.trainer import (
+    REGIMES,
+    TrainConfig,
+    load_state,
+    make_state,
+    state_blobs,
+    state_from_blobs,
+)
 
 
 def tiny_cfg(**kw):
@@ -90,10 +100,12 @@ def test_load_config_routes_between_dataclasses():
 
 @pytest.mark.parametrize("line", [
     "noise_mode=fixed", "noise_max=0.05", "eps_mean=0.0", "perturb_encode=true",
+    "loss_scale=mean", "pretrain_perturb=true",
 ])
 def test_deleted_config_keys_are_rejected_by_name(line):
-    # training noise is noise_std alone, eps is N(0, eps_std^2), and
-    # measurements are always re-encoded through the perturbed mask
+    # training noise is noise_std alone, eps is N(0, eps_std^2),
+    # measurements are always re-encoded through the perturbed mask, the
+    # loss is always a mean, and pretrain always perturbs through phi
     key = line.partition("=")[0]
     with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
         load_config(line + "\n")
@@ -101,6 +113,24 @@ def test_deleted_config_keys_are_rejected_by_name(line):
     blobs["meta/config"] += line + "\n"
     with pytest.raises(ConfigError, match=key):
         state_from_blobs(blobs)
+
+
+@pytest.mark.parametrize("line", [
+    "beta=nan", "alpha1=nan", "noise_std=inf", "prior_sigma=nan", "prior_mu=-inf",
+    "eps_std=inf", "eval_noise_std=nan", "mask_density=nan",
+])
+def test_nonfinite_config_floats_are_rejected_by_name(line):
+    # "x < 0" is False for nan, so every range check alone would let one through
+    key = line.partition("=")[0]
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        load_config(line + "\n")
+    if key in {f.name for f in fields(TrainConfig)}:
+        blobs = state_blobs(make_state(tiny_cfg()))
+        blobs["meta/config"] = re.sub(rf"^{key}=.*$", line, blobs["meta/config"],
+                                      flags=re.M)
+        assert line in blobs["meta/config"].splitlines()
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            state_from_blobs(blobs)
 
 
 def test_load_config_empty_gives_defaults():
@@ -271,15 +301,6 @@ def test_run_scenario_emits_complete_tree(tmp_path):
     assert len(report.rows) == spec.trials * spec.scenes_test
 
 
-def test_run_scenario_accepts_prebuilt_state(tmp_path):
-    cfg, spec = tiny_cfg(), tiny_spec()
-    exp = build_experiment(cfg, spec)
-    state = run_training(exp, mode="untrained")
-    state2, report = run_scenario(cfg, spec, mode="untrained", state=state)
-    assert state2 is state
-    assert len(report.rows) == spec.trials * spec.scenes_test
-
-
 def test_run_ablation_fixed_variance_labels(tmp_path):
     results = run_ablation(
         "fixed-variance", tiny_cfg(), tiny_spec(),
@@ -289,6 +310,32 @@ def test_run_ablation_fixed_variance_labels(tmp_path):
     for label, report in results.items():
         assert len(report.rows) == 2
         assert (tmp_path / label / "summary.csv").is_file()
+
+
+def test_prior_study_variants_rebuild_from_their_own_config(tmp_path):
+    # a variant's config.txt records its prior: it rebuilds the variant's
+    # masks, and eval under it reproduces the variant's reported summary
+    results = run_ablation("prior-study", tiny_cfg(), tiny_spec(), out_dir=tmp_path)
+    assert sorted(results) == [
+        "prior-mu0-sigma1", "prior-mu0.006-sigma0.005", "prior-mu0.006-sigma0.1",
+    ]
+    for label in results:
+        run = tmp_path / label
+        cfg, spec = load_config((run / "config.txt").read_text())
+        assert label == f"prior-mu{cfg.prior_mu:g}-sigma{cfg.prior_sigma:g}"
+        assert load_state(run / "checkpoint.ckp").cfg == cfg
+        exp = build_experiment(cfg, spec)
+        for role, masks in (("train", exp.train_masks), ("test", exp.test_masks)):
+            for i, m in enumerate(masks):
+                np.testing.assert_array_equal(
+                    load_mask(run / "masks" / f"{role}_{i:02d}.msk"),
+                    m.values.astype(np.float32), err_msg=f"{label} {role} {i}",
+                )
+        out = tmp_path / f"{label}-eval"
+        assert main(["eval", "--config", str(run / "config.txt"),
+                     "--checkpoint", str(run / "checkpoint.ckp"),
+                     "--out-dir", str(out)]) == 0
+        assert (out / "summary.csv").read_text() == (run / "summary.csv").read_text()
 
 
 def test_run_ablation_rejects_unknown_kind():
@@ -527,6 +574,16 @@ def test_cli_ablate(tmp_path, capsys):
     assert rc == 0
     assert "no-gst" in capsys.readouterr().out
     assert (out / "no-gst" / "summary.csv").is_file()
+
+
+def test_cli_choices_are_the_librarys(capsys):
+    for argv, choices in (
+        (["train", "--help"], [m for m in REGIMES if m != "untrained"]),
+        (["ablate", "--help"], ABLATIONS),
+    ):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "{" + ",".join(choices) + "}" in capsys.readouterr().out
 
 
 def test_cli_gradcheck_quick(capsys):

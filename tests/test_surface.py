@@ -1,16 +1,18 @@
 """The package's public surface: exported names, benchmark hooks, imports.
 
-Three static checks that need nothing beyond the standard library:
+Four static checks that need nothing beyond the standard library:
 every name a module exports exists, every function the benchmark's span
 tracer rebinds exists (it looks them up with no default, so a missing
-one fails every traced run), and no module imports a name it neither
-reads nor exports.  One run under the tracer checks that every tensor
-still has a ``grad`` the tracer can read.
+one fails every traced run), no module imports a name it neither
+reads nor exports, and every config key is read by the code.  One run
+under the tracer checks that every tensor still has a ``grad`` the
+tracer can read.
 """
 
 import ast
 import importlib
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import casskit
@@ -82,6 +84,31 @@ def test_no_module_imports_a_name_it_never_uses():
         f"{path.name}: {name}" for path in FILES for name in _unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def test_every_config_key_is_read_outside_its_class():
+    # config_text and load_config reach every field through fields(), so
+    # only an attribute read elsewhere shows that a key changes a run
+    from casskit.harness import ScenarioSpec
+    from casskit.trainer import TrainConfig
+
+    classes = (TrainConfig, ScenarioSpec)
+    names = {k.__name__ for k in classes}
+    read = set()
+    for path in FILES:
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(n) for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and c.name in names
+            for n in ast.walk(c)
+        }
+        read |= {
+            n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and id(n) not in inside
+        }
+    unread = [f"{k.__name__}.{f.name}" for k in classes for f in fields(k) if f.name not in read]
+    assert unread == []
 
 
 def test_tracer_counts_every_tensor_and_its_grad_buffer():

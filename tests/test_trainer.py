@@ -190,22 +190,6 @@ def test_recon_loss_batch_duplication_invariance():
     assert float(loss2.data) == pytest.approx(float(loss1.data), rel=1e-12)
 
 
-def test_recon_loss_scale_flag_relation():
-    # per-pixel mean vs dataset-size prefactor on per-sample sums:
-    # same-shape samples differ exactly by n_total * pixel count
-    cfg_mean = tiny_cfg()
-    cfg_paper = tiny_cfg(loss_scale="paper")
-    state = make_state(cfg_mean)
-    scenes, masks = tiny_problem(cfg_mean)
-    eps = [RNG.standard_normal((6, 6)) for _ in range(2)]
-    g = gst_forward(masks[0], state.phi)
-    lm = recon_loss(state.theta, g, scenes[:2], masks[0], cfg_mean, eps_list=eps)
-    lp = recon_loss(state.theta, g, scenes[:2], masks[0], cfg_paper,
-                    eps_list=eps, n_total=10)
-    pixels = 6 * 6 * cfg_mean.bands
-    assert float(lp.data) == pytest.approx(10 * pixels * float(lm.data), rel=1e-12)
-
-
 def test_theta_epochs_under_a_gst_leave_phi_grads_zero():
     # theta-only epochs perturb masks with the GST's map taken off the
     # tape; nothing zeroes phi's grads there, so a taped map would leave
@@ -567,8 +551,8 @@ def test_baseline_fixed_g_positive_differs():
 
 
 def test_pretrain_loss_decreases_on_easy_problem():
-    cfg = tiny_cfg(t_init=12, pretrain_perturb=False, batch=4)
-    state = make_state(cfg)
+    cfg = tiny_cfg(t_init=12, batch=4)
+    state = make_state(cfg, with_gst=False)
     scenes, masks = tiny_problem(cfg, n_scenes=4)
     pretrain(state, scenes, masks)
     losses = [row["loss"] for row in state.log]
@@ -599,7 +583,7 @@ def test_reconstruct_scene_shape():
 def test_config_text_roundtrip():
     from casskit import io
 
-    cfg = tiny_cfg(beta=0.25, loss_scale="paper", entropy_flip=True)
+    cfg = tiny_cfg(beta=0.25, entropy_flip=True)
     text = config_text(cfg)
     items = io.parse_config(text)
     back = io.coerce_dataclass(items, TrainConfig)
@@ -619,8 +603,6 @@ def test_config_validate_errors():
         tiny_cfg(batch=0).validate()
     with pytest.raises(ValueError):
         tiny_cfg(beta=-0.1).validate()
-    with pytest.raises(ValueError):
-        tiny_cfg(loss_scale="median").validate()
     with pytest.raises(ValueError):
         tiny_cfg(lr_halve_period=0).validate()
 
