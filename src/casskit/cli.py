@@ -164,7 +164,8 @@ def _build_parser():
     q.add_argument(
         "--mode",
         default="full",
-        choices=[m for m in REGIMES if m != "untrained"],
+        # fixed-variance needs its spread g0, which only `ablate` sets
+        choices=[m for m in REGIMES if m not in ("untrained", "fixed-variance")],
         help="training regime",
     )
     q.add_argument(

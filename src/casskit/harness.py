@@ -235,8 +235,9 @@ def build_experiment(cfg, spec):
 def run_training(exp, mode="full", fixed_g=0.0):
     """Train on an experiment bundle under one regime; returns the state.
 
-    Modes: "full" (pretrain + alternating bilevel), "no-gst", "no-bilevel",
-    "fixed-variance" (uses ``fixed_g``), "untrained" (fresh weights only).
+    Modes: "full" (pretrain + alternating bilevel), "no-gst" (the constant
+    spread 0), "no-bilevel", "fixed-variance" (uses ``fixed_g``),
+    "untrained" (fresh weights only).
     Epoch budgets of the controls match the full method's theta budget.
     The regime and the scenario are recorded in the state, so its
     checkpoint resumes in the one and can be checked against the other.

@@ -1,29 +1,29 @@
-"""Training schedules for the reconstruction network and the mask-deviation model.
+"""Training of the reconstruction network and the mask-deviation model.
 
-Every regime is a schedule over one epoch helper that steps theta, phi or
-both and logs one row, all sharing one Monte-Carlo reconstruction loss:
+``train_regime`` is the one schedule.  It runs the regime recorded in the
+state over one epoch helper that steps theta, phi or both and logs one
+row, all sharing one Monte-Carlo reconstruction loss:
 
-* ``pretrain`` warms up the reconstruction weights theta alone, under
-  masks perturbed through the frozen phi when the state has one.
-* ``bilevel_train`` alternates rounds: a few epochs updating theta on the
-  training scenes (deviation map treated as constant), then a few epochs
-  updating the deviation network phi on held-out validation scenes using
-  the reconstruction loss plus a weighted mask-entropy term.
-* ``baseline_train`` is plain mask-ensemble training without phi, with an
-  optional constant perturbation spread for controls.
-* ``joint_train`` steps theta and phi together on the training scenes,
-  the single-loop control.
+* ``full`` warms up the reconstruction weights theta alone under masks
+  perturbed through the frozen phi, then alternates rounds: a few epochs
+  updating theta on the training scenes (deviation map treated as
+  constant), then a few epochs updating the deviation network phi on
+  held-out validation scenes using the reconstruction loss plus a
+  weighted mask-entropy term.
+* ``no-bilevel`` warms up the same way, then steps theta and phi together
+  on the training scenes, the single-loop control.
+* ``fixed-variance`` is mask-ensemble training of theta alone under a
+  constant perturbation spread; ``no-gst`` is the spread 0.
+* ``untrained`` keeps the fresh weights.
 
-``train_regime`` runs the regime recorded in the state (``full``,
-``no-gst``, ``fixed-variance``, ``no-bilevel`` or ``untrained``).  Each
-schedule trains until its counter reaches the budget in the config, so a
-state loaded from a checkpoint continues in its own regime by the same
+Each part trains until its counter reaches the budget in the config, so
+a state loaded from a checkpoint continues in its own regime by the same
 call.  The controls get the full method's theta budget,
 ``t_init + rounds * t_trn`` epochs.
 
 The epoch helper alone decides the deviation map g of each batch: on the
-tape from phi when phi steps, a frozen copy of it, a constant, or none
-when only theta steps.  The losses only score the map they are given.
+tape from phi when phi steps, a frozen copy of it, or a constant when
+only theta steps.  The losses only score the map they are given.
 Each loss sample redraws the mask: m' = clamp01(m + g * eps), re-encodes
 the scene through m', and reconstructs from the windowed initialization,
 so gradients reach phi through both the measurement and the conditioning.
@@ -71,10 +71,6 @@ __all__ = [
     "total_loss",
     "TrainState",
     "make_state",
-    "pretrain",
-    "bilevel_train",
-    "baseline_train",
-    "joint_train",
     "REGIMES",
     "train_regime",
     "reconstruct_scene",
@@ -215,25 +211,20 @@ def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
                noise_fields=None):
     """Monte-Carlo reconstruction loss over one batch and one mask.
 
-    ``g`` is the per-pixel deviation map, a Tensor, or None for the raw
-    mask.  Each sample then draws its own perturbed mask
-    m' = clamp01(m + g * eps), encodes the scene through m' and
-    reconstructs from the windowed initialization, so the loss reaches
-    whatever ``g`` hangs from on the tape.  ``eps_list`` and
+    ``g`` is the per-pixel deviation map, a Tensor.  Each sample draws
+    its own perturbed mask m' = clamp01(m + g * eps), encodes the scene
+    through m' and reconstructs from the windowed initialization, so the
+    loss reaches whatever ``g`` hangs from on the tape.  ``eps_list`` and
     ``noise_fields`` override the draws from ``rng`` and add measurement
     noise.  The loss is the mean over batch and pixels.
     """
     scenes = [_cube_values(x) for x in batch]
     if not scenes:
         raise ValueError("empty batch")
-    mv = _mask_values(mask)
     terms = []
     for i, xv in enumerate(scenes):
-        if g is None:
-            m_t = Tensor(mv)
-        else:
-            eps = None if eps_list is None else eps_list[i]
-            m_t = sample_perturbed(mask, g, eps=eps, rng=rng, eps_std=cfg.eps_std)
+        eps = None if eps_list is None else eps_list[i]
+        m_t = sample_perturbed(mask, g, eps=eps, rng=rng, eps_std=cfg.eps_std)
         y = encode_tape(xv, m_t, cfg.d)
         if noise_fields is not None:
             y = add(y, Tensor(noise_fields[i]))
@@ -252,15 +243,12 @@ def total_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
                noise_fields=None):
     """Reconstruction loss plus beta-weighted mask entropy of ``g``.
 
-    Returns (total, recon, mean_entropy_float); the entropy is None when
-    ``g`` is.  With beta == 0 the total IS the recon loss object, so the
-    two are bit-identical.
+    Returns (total, recon, mean_entropy_float).  With beta == 0 the total
+    IS the recon loss object, so the two are bit-identical.
     """
     loss = recon_loss(
         theta, g, batch, mask, cfg, rng, eps_list=eps_list, noise_fields=noise_fields
     )
-    if g is None:
-        return loss, loss, None
     ent = entropy_term(g)
     total = loss
     if cfg.beta != 0.0:
@@ -338,11 +326,6 @@ def _pick_mask(masks, rng):
     return masks[int(rng.integers(len(masks)))]
 
 
-def _theta_budget(cfg):
-    """Theta epochs of the full method: pretrain plus every round's theta epochs."""
-    return cfg.t_init + cfg.rounds * cfg.t_trn
-
-
 def _frozen_g(state, m, phi):
     """``gst_forward(m, phi)`` taken off the tape, computed once per (m, phi).
 
@@ -362,15 +345,15 @@ def _frozen_g(state, m, phi):
 
 
 def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
-           phi=None, fixed_g=None):
+           phi=None, fixed_g=0.0):
     """One pass over ``scenes`` stepping theta, phi or both; logs one row.
 
     This is where the deviation map g of each batch is decided.  Epochs
     that step phi put ``gst_forward(m, state.phi)`` on the tape and score
     :func:`total_loss`.  Theta-only epochs score :func:`recon_loss` with g
-    from the frozen ``phi`` taken off the tape, with the constant spread
-    ``fixed_g``, or with no perturbation at all; the frozen g is computed
-    once per train mask and phi state (:func:`_frozen_g`), not per batch.
+    from the frozen ``phi`` taken off the tape, or else with the constant
+    spread ``fixed_g``; the frozen g is computed once per train mask and
+    phi state (:func:`_frozen_g`), not per batch.
     Epochs that step only phi draw batch order, mask, eps and noise from
     the ``phi_*`` streams; every other epoch draws from the theta streams.
     Each backward sweep computes the gradients of the stepped parameters
@@ -395,10 +378,8 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
             g = gst_forward(m, state.phi)
         elif phi is not None:
             g = _frozen_g(state, m, phi)
-        elif fixed_g is not None:
-            g = Tensor(np.full(_mask_values(m).shape, fixed_g, dtype=np.float64))
         else:
-            g = None
+            g = Tensor(np.full(_mask_values(m).shape, fixed_g, dtype=np.float64))
         if lr_phi is None:
             loss = recon_loss(state.theta, g, batch, m, cfg, eps, noise_fields=noise)
         else:
@@ -419,87 +400,20 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     )
 
 
-def pretrain(state, train_scenes, masks):
-    """Warm up theta on the training scenes until ``state.epoch`` is ``t_init``."""
-    cfg = state.cfg
-    while state.epoch < cfg.t_init:
-        lr = lr_schedule(cfg.alpha0, state.epoch, cfg.lr_halve_period)
-        _epoch(state, train_scenes, masks, "pretrain", lr_theta=lr, phi=state.phi)
-    return state
-
-
-def bilevel_train(state, train_scenes, val_scenes, masks):
-    """Alternate theta epochs on train scenes with phi epochs on val scenes.
-
-    Runs rounds ``state.round`` .. ``cfg.rounds``; a state loaded from a
-    checkpoint picks up exactly where it stopped.  phi is bitwise frozen
-    during theta epochs and vice versa.
-
-    Theta's rate is scheduled on theta's own epoch count (pretrain epochs
-    plus theta epochs so far), so theta epoch e runs at the same rate as
-    epoch e of ``baseline_train``.  Phi's rate is scheduled on the shared
-    ``state.epoch``, which counts every epoch of both kinds.
-    """
-    cfg = state.cfg
-    if state.phi is None:
-        raise ValueError("bilevel training needs the deviation network")
-    while state.round < cfg.rounds:
-        r = state.round
-        for _ in range(cfg.t_trn):
-            # every round so far ran t_val phi epochs after its theta epochs
-            theta_epoch = state.epoch - r * cfg.t_val
-            lr = lr_schedule(cfg.alpha1, theta_epoch, cfg.lr_halve_period)
-            _epoch(state, train_scenes, masks, "train", r, lr_theta=lr, phi=state.phi)
-        for _ in range(cfg.t_val):
-            lr = lr_schedule(cfg.alpha2, state.epoch, cfg.lr_halve_period)
-            _epoch(state, val_scenes, masks, "val", r, lr_phi=lr)
-        state.round += 1
-    return state
-
-
-def baseline_train(state, train_scenes, masks, epochs=None, fixed_g=None):
-    """Plain mask-ensemble training of theta (no deviation network).
-
-    Trains until ``state.epoch`` reaches ``epochs``, by default the full
-    method's theta budget ``t_init + rounds * t_trn``.  ``fixed_g``
-    perturbs masks with a constant per-pixel std instead of a learned
-    one; 0 reproduces the unperturbed baseline bit for bit because the eps
-    stream is separate from the order/mask streams.
-    """
-    cfg = state.cfg
-    budget = _theta_budget(cfg) if epochs is None else epochs
-    while state.epoch < budget:
-        lr = lr_schedule(cfg.alpha1, state.epoch, cfg.lr_halve_period)
-        _epoch(state, train_scenes, masks, "baseline", lr_theta=lr, fixed_g=fixed_g)
-    return state
-
-
-def joint_train(state, train_scenes, masks):
-    """Single-loop control: theta and phi step together on the train scenes.
-
-    Runs until ``state.epoch`` reaches the full method's theta budget, so
-    after ``pretrain`` theta gets as many epochs as in ``bilevel_train``.
-    Both rates are scheduled on ``state.epoch``, which here counts only
-    theta epochs.
-    """
-    cfg = state.cfg
-    if state.phi is None:
-        raise ValueError("joint training needs the deviation network")
-    while state.epoch < _theta_budget(cfg):
-        _epoch(
-            state, train_scenes, masks, "joint",
-            lr_theta=lr_schedule(cfg.alpha1, state.epoch, cfg.lr_halve_period),
-            lr_phi=lr_schedule(cfg.alpha2, state.epoch, cfg.lr_halve_period),
-        )
-    return state
-
-
 def train_regime(state, train_scenes, val_scenes, masks):
     """Run the regime recorded in ``state.regime`` until its budgets are met.
 
-    Every schedule trains until its counter reaches the budget in
+    Every part trains until its counter reaches the budget in
     ``state.cfg``, so the same call trains a fresh state, continues a
     loaded checkpoint, and leaves a finished run as it is.
+
+    ``full`` runs rounds ``state.round`` .. ``cfg.rounds``; phi is bitwise
+    frozen during theta epochs and vice versa.  Theta's rate is scheduled
+    on theta's own epoch count (pretrain epochs plus theta epochs so far),
+    so theta epoch e runs at the same rate as epoch e of the controls.
+    Phi's rate is scheduled on the shared ``state.epoch``, which counts
+    every epoch of both kinds.  The controls schedule every rate on
+    ``state.epoch``, which there counts only theta epochs.
     """
     if state.regime is None:
         raise ValueError(
@@ -509,14 +423,42 @@ def train_regime(state, train_scenes, val_scenes, masks):
     mode = state.regime.get("mode")
     if mode not in REGIMES:
         raise ValueError(f"unknown training mode {mode!r}")
+    if REGIMES[mode] != (state.phi is not None):
+        raise ValueError(
+            f"the {mode!r} regime {'needs' if REGIMES[mode] else 'trains without'} "
+            f"the deviation network, but the state "
+            f"{'holds none' if state.phi is None else 'holds one'}"
+        )
+    cfg = state.cfg
+
+    def lr(base, epoch):
+        return lr_schedule(base, epoch, cfg.lr_halve_period)
+
+    budget = cfg.t_init + cfg.rounds * cfg.t_trn  # theta epochs of the full method
     if mode in ("full", "no-bilevel"):
-        pretrain(state, train_scenes, masks)
+        while state.epoch < cfg.t_init:
+            _epoch(state, train_scenes, masks, "pretrain",
+                   lr_theta=lr(cfg.alpha0, state.epoch), phi=state.phi)
     if mode == "full":
-        bilevel_train(state, train_scenes, val_scenes, masks)
+        while state.round < cfg.rounds:
+            r = state.round
+            for _ in range(cfg.t_trn):
+                # every round so far ran t_val phi epochs after its theta epochs
+                _epoch(state, train_scenes, masks, "train", r,
+                       lr_theta=lr(cfg.alpha1, state.epoch - r * cfg.t_val), phi=state.phi)
+            for _ in range(cfg.t_val):
+                _epoch(state, val_scenes, masks, "val", r,
+                       lr_phi=lr(cfg.alpha2, state.epoch))
+            state.round += 1
     elif mode == "no-bilevel":
-        joint_train(state, train_scenes, masks)
+        while state.epoch < budget:
+            _epoch(state, train_scenes, masks, "joint",
+                   lr_theta=lr(cfg.alpha1, state.epoch), lr_phi=lr(cfg.alpha2, state.epoch))
     elif mode in ("no-gst", "fixed-variance"):
-        baseline_train(state, train_scenes, masks, fixed_g=state.regime.get("fixed_g"))
+        g0 = state.regime.get("fixed_g") or 0.0  # no-gst records none: the spread 0
+        while state.epoch < budget:
+            _epoch(state, train_scenes, masks, "baseline",
+                   lr_theta=lr(cfg.alpha1, state.epoch), fixed_g=g0)
     return state
 
 
@@ -529,11 +471,12 @@ def reconstruct_scene(theta, y, m):
 
 # -- checkpoint plumbing ----------------------------------------------------
 
-def _adam_blobs(prefix, adam, blobs):
-    blobs[f"{prefix}/t"] = json.dumps(adam.t)
-    for n, _ in adam.named:
-        blobs[f"{prefix}/m/{n}"] = adam.m[n]
-        blobs[f"{prefix}/v/{n}"] = adam.v[n]
+def _networks(state):
+    """(blob prefix, parameters, optimizer) of theta and, if present, phi."""
+    nets = [("theta", state.theta, state.adam_theta)]
+    if state.phi is not None:
+        nets.append(("phi", state.phi, state.adam_phi))
+    return nets
 
 
 def _finite_blob(blobs, name):
@@ -541,13 +484,6 @@ def _finite_blob(blobs, name):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"checkpoint blob {name!r} holds non-finite values")
     return arr
-
-
-def _adam_restore(prefix, adam, blobs):
-    adam.t = int(json.loads(blobs[f"{prefix}/t"]))
-    for n, _ in adam.named:
-        adam.m[n] = np.array(_finite_blob(blobs, f"{prefix}/m/{n}"))
-        adam.v[n] = np.array(_finite_blob(blobs, f"{prefix}/v/{n}"))
 
 
 def state_blobs(state):
@@ -561,13 +497,13 @@ def state_blobs(state):
         blobs["meta/scenario"] = state.scenario
     for role, gen in state.rngs.items():
         blobs[f"meta/rng/{role}"] = json.dumps(gen.bit_generator.state)
-    for n, t in state.theta.parameters():
-        blobs[f"theta/{n}"] = t.data
-    _adam_blobs("opt_theta", state.adam_theta, blobs)
-    if state.phi is not None:
-        for n, t in state.phi.parameters():
-            blobs[f"phi/{n}"] = t.data
-        _adam_blobs("opt_phi", state.adam_phi, blobs)
+    for prefix, params, adam in _networks(state):
+        for n, t in params.parameters():
+            blobs[f"{prefix}/{n}"] = t.data
+        blobs[f"opt_{prefix}/t"] = json.dumps(adam.t)
+        for n, _ in adam.named:
+            blobs[f"opt_{prefix}/m/{n}"] = adam.m[n]
+            blobs[f"opt_{prefix}/v/{n}"] = adam.v[n]
     return blobs
 
 
@@ -589,21 +525,17 @@ def state_from_blobs(blobs):
         if name not in blobs:
             raise ValueError(f"checkpoint lacks the {name!r} blob")
         gen.bit_generator.state = json.loads(blobs[name])
-    for n, t in state.theta.parameters():
-        arr = _finite_blob(blobs, f"theta/{n}")
-        if arr.shape != t.data.shape:
-            raise ValueError(f"checkpoint theta/{n} has shape {arr.shape}, "
-                             f"expected {t.data.shape}")
-        t.data[...] = arr
-    _adam_restore("opt_theta", state.adam_theta, blobs)
-    if with_gst:
-        for n, t in state.phi.parameters():
-            arr = _finite_blob(blobs, f"phi/{n}")
+    for prefix, params, adam in _networks(state):
+        for n, t in params.parameters():
+            arr = _finite_blob(blobs, f"{prefix}/{n}")
             if arr.shape != t.data.shape:
-                raise ValueError(f"checkpoint phi/{n} has shape {arr.shape}, "
+                raise ValueError(f"checkpoint {prefix}/{n} has shape {arr.shape}, "
                                  f"expected {t.data.shape}")
             t.data[...] = arr
-        _adam_restore("opt_phi", state.adam_phi, blobs)
+        adam.t = int(json.loads(blobs[f"opt_{prefix}/t"]))
+        for n, _ in adam.named:
+            adam.m[n] = np.array(_finite_blob(blobs, f"opt_{prefix}/m/{n}"))
+            adam.v[n] = np.array(_finite_blob(blobs, f"opt_{prefix}/v/{n}"))
     return state
 
 

@@ -37,13 +37,12 @@ from casskit.metrics import epistemic_map, psnr, spectral_correlation, ssim
 from casskit.optics import HsiCube, Mask, encode
 from casskit.trainer import (
     TrainConfig,
-    bilevel_train,
     load_state,
     make_state,
-    pretrain,
     reconstruct_scene,
     save_state,
     state_blobs,
+    train_regime,
 )
 
 RESULTS = {}
@@ -340,18 +339,15 @@ def test_criterion_10_determinism_and_resume(tmp_path):
 
     cfg2 = micro_cfg(rounds=2)
     exp = build_experiment(cfg2, spec)
-    straight = make_state(cfg2, with_gst=True)
-    pretrain(straight, exp.train_scenes, exp.train_masks)
-    bilevel_train(straight, exp.train_scenes, exp.val_scenes, exp.train_masks)
+    straight = run_training(exp, mode="full")
 
-    part = make_state(dataclasses.replace(cfg2, rounds=1), with_gst=True)
-    pretrain(part, exp.train_scenes, exp.train_masks)
-    bilevel_train(part, exp.train_scenes, exp.val_scenes, exp.train_masks)
+    part = run_training(dataclasses.replace(exp, cfg=dataclasses.replace(cfg2, rounds=1)),
+                        mode="full")
     ckp = tmp_path / "mid.ckp"
     save_state(part, ckp)
     resumed = load_state(ckp)
     resumed.cfg = cfg2
-    bilevel_train(resumed, exp.train_scenes, exp.val_scenes, exp.train_masks)
+    train_regime(resumed, exp.train_scenes, exp.val_scenes, exp.train_masks)
 
     ba, bb = state_blobs(straight), state_blobs(resumed)
     resume_exact = set(ba) == set(bb) and all(

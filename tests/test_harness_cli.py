@@ -41,6 +41,7 @@ from casskit.trainer import (
     TrainConfig,
     load_state,
     make_state,
+    save_state,
     state_blobs,
     state_from_blobs,
 )
@@ -448,12 +449,26 @@ def test_cli_uncertainty(cli_env, tmp_path, capsys):
     assert "variance mean" in capsys.readouterr().out
 
 
+def _train(cfg_path, mode, out_dir):
+    """Train like ``casskit train --mode``; fixed-variance, which the CLI
+    cannot start, is trained at the spread 0.3 through the library."""
+    if mode != "fixed-variance":
+        assert main(["train", "--config", str(cfg_path), "--mode", mode,
+                     "--out-dir", str(out_dir)]) == 0
+        return
+    with open(cfg_path) as f:
+        cfg, spec = load_config(f.read())
+    out_dir.mkdir(parents=True)
+    save_state(run_training(build_experiment(cfg, spec), "fixed-variance", fixed_g=0.3),
+               out_dir / "checkpoint.ckp")
+
+
 def test_cli_train_resume_of_finished_run_is_a_noop(cli_env, tmp_path):
     # each checkpoint resumes in its own regime; --mode is not repeated
     cfg = str(cli_env["cfg"])
     for mode in ("full", "no-gst", "no-bilevel", "fixed-variance"):
         done, more = tmp_path / mode / "done", tmp_path / mode / "more"
-        assert main(["train", "--config", cfg, "--mode", mode, "--out-dir", str(done)]) == 0
+        _train(cfg, mode, done)
         first = load_checkpoint(done / "checkpoint.ckp")
         assert json.loads(first["meta/regime"])["mode"] == mode
         rc = main(["train", "--config", cfg, "--resume", str(done / "checkpoint.ckp"),
@@ -504,8 +519,8 @@ def test_cli_train_resume_extends_rounds(tmp_path):
     three = _write_cfg(tmp_path / "r3.cfg", rounds=3)
     for mode in ("full", "no-gst", "no-bilevel", "fixed-variance"):
         short, longer, straight = (tmp_path / mode / n for n in ("short", "longer", "straight"))
-        assert main(["train", "--config", one, "--mode", mode, "--out-dir", str(short)]) == 0
-        assert main(["train", "--config", three, "--mode", mode, "--out-dir", str(straight)]) == 0
+        _train(one, mode, short)
+        _train(three, mode, straight)
         rc = main(["train", "--config", three, "--resume", str(short / "checkpoint.ckp"),
                    "--out-dir", str(longer)])
         assert rc == 0, mode
@@ -577,13 +592,18 @@ def test_cli_ablate(tmp_path, capsys):
 
 
 def test_cli_choices_are_the_librarys(capsys):
+    # fixed-variance needs a spread g0, so `ablate` alone starts it
     for argv, choices in (
-        (["train", "--help"], [m for m in REGIMES if m != "untrained"]),
+        (["train", "--help"], [m for m in REGIMES if m not in ("untrained", "fixed-variance")]),
         (["ablate", "--help"], ABLATIONS),
     ):
         with pytest.raises(SystemExit):
             main(argv)
         assert "{" + ",".join(choices) + "}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--mode", "fixed-variance"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'fixed-variance'" in capsys.readouterr().err
 
 
 def test_cli_gradcheck_quick(capsys):

@@ -1,10 +1,11 @@
 """The package's public surface: exported names, benchmark hooks, imports.
 
-Four static checks that need nothing beyond the standard library:
+Five static checks that need nothing beyond the standard library:
 every name a module exports exists, every function the benchmark's span
-tracer rebinds exists (it looks them up with no default, so a missing
-one fails every traced run), no module imports a name it neither
-reads nor exports, and every config key is read by the code.  One run
+tracer rebinds and every name its worker reads exists (both look them up
+with no default, so a missing one fails every benchmark run), no module
+imports a name it neither reads nor exports, and every config key is
+read by the code.  One run
 under the tracer checks that every tensor still has a ``grad`` the
 tracer can read.
 """
@@ -18,7 +19,8 @@ from pathlib import Path
 import casskit
 
 SRC = Path(casskit.__file__).resolve().parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 FILES = sorted(SRC.glob("*.py"))
 
 
@@ -70,6 +72,63 @@ def test_every_name_the_tracer_rebinds_resolves():
     assert hooks
     missing = [
         f"{module}.{attr}" for module, attr in hooks
+        if not hasattr(importlib.import_module(f"casskit.{module}"), attr)
+    ]
+    assert missing == []
+
+
+def _casskit_reads(source):
+    """(module, attr) pairs read as ``<...>.ck.<module>.<attr>`` or through a
+    local alias of ``<...>.ck.<module>`` bound in the same function."""
+
+    def module_of(node):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id == "ck") or (
+                    isinstance(base, ast.Attribute) and base.attr == "ck"):
+                return node.attr
+        return None
+
+    reads = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        aliases = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    for name, value in pairs:
+                        if isinstance(name, ast.Name) and module_of(value):
+                            aliases[name.id] = module_of(value)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute):
+                base = node.value
+                module = module_of(base) or (
+                    isinstance(base, ast.Name) and aliases.get(base.id))
+                if module:
+                    reads.add((module, node.attr))
+    return reads
+
+
+def test_every_name_the_benchmark_worker_reads_resolves():
+    # the worker reaches the package as ck.<module>.<name>, or through
+    # aliases like `h, t = self.ck.harness, self.ck.trainer`
+    assert _casskit_reads(
+        "def f(self):\n    h, t = self.ck.harness, self.ck.trainer\n"
+        "    h.run(self.ck.io.save)\n    t.x = 1\n"
+        "def g(t):\n    return t.y\n"
+    ) == {("harness", "run"), ("io", "save"), ("trainer", "x")}
+    reads = _casskit_reads((PERFBENCH / "worker.py").read_text())
+    assert {
+        ("harness", "reconstruct_scene"), ("harness", "run_training"),
+        ("trainer", "Adam"), ("trainer", "load_state"), ("gstnet", "gst_forward"),
+        ("optics", "encode"), ("io", "load_cube"),
+    } <= reads
+    missing = [
+        f"{module}.{attr}" for module, attr in sorted(reads)
         if not hasattr(importlib.import_module(f"casskit.{module}"), attr)
     ]
     assert missing == []

@@ -8,6 +8,7 @@ and determinism contracts, which are all bitwise.
 import copy
 import dataclasses
 import gc
+import json
 import math
 
 import numpy as np
@@ -19,16 +20,14 @@ from casskit.maskmodel import NoisePrior, entropy_term
 from casskit.ndgrad import Tensor, backward
 from casskit.optics import Mask
 from casskit.trainer import (
+    REGIMES,
     Adam,
     TrainConfig,
     TrainingDiverged,
-    baseline_train,
-    bilevel_train,
     config_text,
     load_state,
     lr_schedule,
     make_state,
-    pretrain,
     recon_loss,
     reconstruct_scene,
     save_state,
@@ -81,6 +80,78 @@ def test_lr_schedule_argument_errors():
         lr_schedule(1.0, -1)
     with pytest.raises(ValueError):
         lr_schedule(1.0, 0, period=0)
+
+
+def test_every_regime_runs_its_schedule(monkeypatch):
+    # the exact epoch sequence of each regime: phase, round, both rates,
+    # the constant spread and whether theta's epochs perturb through phi.
+    # Halving every 2 epochs tells apart theta's own epoch count (full)
+    # from the shared one (phi, and every rate of the controls).
+    from casskit import trainer
+
+    a0, a1, a2 = 8e-4, 4e-4, 2e-5
+    cfg = tiny_cfg(t_init=2, t_trn=2, t_val=2, rounds=2, lr_halve_period=2,
+                   alpha0=a0, alpha1=a1, alpha2=a2)
+    exp = build_experiment(cfg, TINY_SPEC)
+    real_epoch = trainer._epoch
+    calls = []
+
+    def epoch(state, scenes, masks, phase, rnd=-1, **kw):
+        calls.append((phase, rnd, kw.get("lr_theta"), kw.get("lr_phi"),
+                      kw.get("fixed_g"), kw.get("phi") is state.phi))
+        real_epoch(state, scenes, masks, phase, rnd, **kw)
+
+    monkeypatch.setattr(trainer, "_epoch", epoch)
+    pre = [("pretrain", -1, a0, None, None, True)] * 2
+    want = {
+        "full": pre
+        + [("train", 0, a1 / 2, None, None, True)] * 2
+        + [("val", 0, None, a2 / 4, None, False)] * 2
+        + [("train", 1, a1 / 4, None, None, True)] * 2
+        + [("val", 1, None, a2 / 16, None, False)] * 2,
+        "no-bilevel": pre
+        + [("joint", -1, a1 / 2, a2 / 2, None, False)] * 2
+        + [("joint", -1, a1 / 4, a2 / 4, None, False)] * 2,
+        "no-gst": [("baseline", -1, a1 / 2**(e // 2), None, 0.0, True)
+                   for e in range(6)],
+        "fixed-variance": [("baseline", -1, a1 / 2**(e // 2), None, 0.2, True)
+                           for e in range(6)],
+        "untrained": [],
+    }
+    for mode, sequence in want.items():
+        calls.clear()
+        state = run_training(exp, mode=mode, fixed_g=0.2)
+        assert calls == sequence, mode
+        assert state.epoch == len(sequence), mode
+
+
+def test_no_gst_is_the_zero_spread():
+    # the unperturbed baseline and the constant spread 0 train alike and
+    # draw alike; only the recorded regime tells their checkpoints apart
+    exp = build_experiment(tiny_cfg(noise_std=0.01, rounds=2), TINY_SPEC)
+    a = state_blobs(run_training(exp, mode="no-gst"))
+    b = state_blobs(run_training(exp, mode="fixed-variance", fixed_g=0.0))
+    assert set(a) == set(b)
+    differ = [k for k, v in a.items()
+              if not (np.array_equal(v, b[k]) if isinstance(v, np.ndarray) else v == b[k])]
+    assert differ == ["meta/regime"]
+
+
+@pytest.mark.parametrize("mode", ["full", "no-bilevel", "no-gst", "fixed-variance"])
+def test_regime_and_networks_must_agree_before_any_epoch(mode):
+    # a checkpoint whose regime needs phi but holds none, or holds a phi
+    # its regime never reads, is refused before it trains an epoch
+    cfg = tiny_cfg()
+    exp = build_experiment(cfg, TINY_SPEC)
+    blobs = state_blobs(make_state(cfg))
+    if REGIMES[mode]:
+        blobs = {k: v for k, v in blobs.items() if not k.startswith(("phi/", "opt_phi/"))}
+    blobs["meta/regime"] = json.dumps({"mode": mode, "fixed_g": None})
+    state = state_from_blobs(blobs)
+    held = "holds none" if REGIMES[mode] else "holds one"
+    with pytest.raises(ValueError, match=f"'{mode}'.*deviation network.*{held}"):
+        train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
+    assert state.epoch == 0 and state.log == []
 
 
 def test_default_schedule_constants():
@@ -174,7 +245,8 @@ def test_recon_loss_zero_for_perfect_model():
         t.data[...] = 0.0
     scenes = [np.zeros((6, 6, cfg.bands))]
     mask = Mask(np.ones((6, 6)))
-    loss = recon_loss(state.theta, None, scenes, mask, cfg)
+    loss = recon_loss(state.theta, Tensor(np.zeros((6, 6))), scenes, mask, cfg,
+                      np.random.default_rng(0))
     assert float(loss.data) == 0.0
 
 
@@ -195,11 +267,7 @@ def test_theta_epochs_under_a_gst_leave_phi_grads_zero():
     # tape; nothing zeroes phi's grads there, so a taped map would leave
     # them nonzero
     cfg = tiny_cfg(t_init=2, t_val=0)
-    state = make_state(cfg)
-    scenes, masks = tiny_problem(cfg)
-    pretrain(state, scenes, masks)
-    assert all(np.all(t.grad == 0.0) for _, t in state.phi.parameters())
-    bilevel_train(state, scenes, scenes, masks)
+    state = run_training(build_experiment(cfg, TINY_SPEC), mode="full")
     assert [row["phase"] for row in state.log] == ["pretrain", "pretrain", "train"]
     assert all(np.all(t.grad == 0.0) for _, t in state.phi.parameters())
 
@@ -270,7 +338,7 @@ def test_recon_loss_needs_eps_or_rng_and_nonempty_batch():
         recon_loss(state.theta, gst_forward(masks[0], state.phi), scenes[:1],
                    masks[0], cfg)
     with pytest.raises(ValueError):
-        recon_loss(state.theta, None, [], masks[0], cfg)
+        recon_loss(state.theta, Tensor(np.zeros((6, 6))), [], masks[0], cfg)
 
 
 def test_total_loss_beta_zero_is_recon_object():
@@ -323,14 +391,6 @@ def test_loss_graph_frees_without_the_cycle_collector():
         gc.enable()
 
 
-def test_total_loss_without_gst_returns_no_entropy():
-    cfg = tiny_cfg()
-    state = make_state(cfg, with_gst=False)
-    scenes, masks = tiny_problem(cfg)
-    total, recon, ent = total_loss(state.theta, None, scenes[:2], masks[0], cfg)
-    assert total is recon and ent is None
-
-
 # -- state, determinism, freezing -------------------------------------------
 
 def test_make_state_deterministic_per_seed():
@@ -349,27 +409,22 @@ def test_make_state_deterministic_per_seed():
 
 
 def test_pretrain_updates_theta_keeps_phi_bitwise():
-    cfg = tiny_cfg(t_init=2)
-    state = make_state(cfg)
-    scenes, masks = tiny_problem(cfg)
-    theta_before = [t.data.copy() for _, t in state.theta.parameters()]
-    phi_before = [t.data.copy() for _, t in state.phi.parameters()]
-    pretrain(state, scenes, masks)
+    cfg = tiny_cfg(t_init=2, rounds=0)
+    fresh = make_state(cfg)
+    state = run_training(build_experiment(cfg, TINY_SPEC), mode="full")
     assert any(
-        not np.array_equal(a, t.data)
-        for a, (_, t) in zip(theta_before, state.theta.parameters())
+        not np.array_equal(f.data, t.data)
+        for (_, f), (_, t) in zip(fresh.theta.parameters(), state.theta.parameters())
     )
-    for a, (_, t) in zip(phi_before, state.phi.parameters()):
-        assert np.array_equal(a, t.data)
+    for (_, f), (_, t) in zip(fresh.phi.parameters(), state.phi.parameters()):
+        assert np.array_equal(f.data, t.data)
     assert state.epoch == 2
     assert [row["phase"] for row in state.log] == ["pretrain", "pretrain"]
 
 
 def test_bilevel_phase_freezing_and_log_shape():
-    cfg = tiny_cfg(t_trn=2, t_val=2, rounds=2)
-    state = make_state(cfg)
-    scenes, masks = tiny_problem(cfg, n_scenes=4)
-    bilevel_train(state, scenes[:2], scenes[2:], masks)
+    cfg = tiny_cfg(t_init=0, t_trn=2, t_val=2, rounds=2)
+    state = run_training(build_experiment(cfg, TINY_SPEC), mode="full")
     phases = [row["phase"] for row in state.log]
     assert phases == ["train", "train", "val", "val"] * 2
     rounds = [row["round"] for row in state.log]
@@ -383,12 +438,10 @@ def test_bilevel_phase_freezing_and_log_shape():
 
 def test_alpha2_zero_freezes_phi_exactly():
     cfg = tiny_cfg(alpha2=0.0, rounds=2)
-    state = make_state(cfg)
-    scenes, masks = tiny_problem(cfg, n_scenes=4)
-    phi_before = [t.data.copy() for _, t in state.phi.parameters()]
-    bilevel_train(state, scenes[:2], scenes[2:], masks)
-    for a, (_, t) in zip(phi_before, state.phi.parameters()):
-        assert np.array_equal(a, t.data)
+    fresh = make_state(cfg)
+    state = run_training(build_experiment(cfg, TINY_SPEC), mode="full")
+    for (_, f), (_, t) in zip(fresh.phi.parameters(), state.phi.parameters()):
+        assert np.array_equal(f.data, t.data)
 
 
 def test_theta_frozen_during_phi_steps():
@@ -408,14 +461,16 @@ def test_theta_frozen_during_phi_steps():
 def test_phi_epochs_leave_theta_grads_and_values_alone():
     # a phi-only sweep asks for phi's gradients alone: theta's grads are
     # neither computed nor zeroed there
-    cfg = tiny_cfg(t_trn=0, t_val=2)
-    state = make_state(cfg)
-    scenes, masks = tiny_problem(cfg)
+    cfg = tiny_cfg(t_init=0, t_trn=0, t_val=2)
+    exp = build_experiment(cfg, TINY_SPEC)
+    # a fresh full-regime state, trained on by extending its budget
+    state = run_training(dataclasses.replace(exp, cfg=dataclasses.replace(cfg, rounds=0)))
+    state.cfg = cfg
     for _, t in state.theta.parameters():
         t.grad[...] = 7.0
     theta_before = [t.data.copy() for _, t in state.theta.parameters()]
     phi_before = [t.data.copy() for _, t in state.phi.parameters()]
-    bilevel_train(state, scenes[:2], scenes[2:], masks)
+    train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
     assert [row["phase"] for row in state.log] == ["val", "val"]
     assert state.adam_theta.t == 0 and state.adam_phi.t > 0
     for a, (_, t) in zip(theta_before, state.theta.parameters()):
@@ -426,16 +481,8 @@ def test_phi_epochs_leave_theta_grads_and_values_alone():
 
 
 def test_same_seed_same_trajectory():
-    cfg = tiny_cfg(rounds=2)
-    scenes, masks = tiny_problem(cfg, n_scenes=4)
-
-    def run():
-        state = make_state(cfg)
-        pretrain(state, scenes[:2], masks)
-        bilevel_train(state, scenes[:2], scenes[2:], masks)
-        return state
-
-    a, b = run(), run()
+    exp = build_experiment(tiny_cfg(rounds=2), TINY_SPEC)
+    a, b = run_training(exp), run_training(exp)
     for (na, ta), (_, tb) in zip(a.theta.parameters(), b.theta.parameters()):
         assert np.array_equal(ta.data, tb.data), na
     for (na, ta), (_, tb) in zip(a.phi.parameters(), b.phi.parameters()):
@@ -479,8 +526,9 @@ def test_no_bilevel_gets_the_full_theta_budget_and_draws_noise():
     full = run_training(exp, mode="full")
     joint = run_training(exp, mode="no-bilevel")
     assert joint.adam_theta.t == full.adam_theta.t
-    warm = make_state(cfg)
-    pretrain(warm, exp.train_scenes, exp.train_masks)
+    warm = run_training(dataclasses.replace(exp, cfg=dataclasses.replace(cfg, rounds=0)),
+                        mode="no-bilevel")
+    assert [row["phase"] for row in warm.log] == ["pretrain"]
     assert (joint.rngs["noise"].bit_generator.state
             != warm.rngs["noise"].bit_generator.state)
 
@@ -520,51 +568,11 @@ def test_make_state_needs_positive_prior_sigma_for_gst():
     NoisePrior(cfg.prior_mu, 0.0)  # a noiseless fabrication prior stays legal
 
 
-def test_baseline_fixed_g_zero_matches_plain_bitwise():
-    cfg = tiny_cfg()
-    scenes, masks = tiny_problem(cfg)
-
-    def run(fixed_g):
-        state = make_state(cfg, with_gst=False)
-        baseline_train(state, scenes, masks, epochs=2, fixed_g=fixed_g)
-        return state
-
-    plain, zeroed = run(None), run(0.0)
-    for (n, tp), (_, tz) in zip(plain.theta.parameters(), zeroed.theta.parameters()):
-        assert np.array_equal(tp.data, tz.data), n
-
-
-def test_baseline_fixed_g_positive_differs():
-    cfg = tiny_cfg()
-    scenes, masks = tiny_problem(cfg)
-
-    def run(fixed_g):
-        state = make_state(cfg, with_gst=False)
-        baseline_train(state, scenes, masks, epochs=1, fixed_g=fixed_g)
-        return state
-
-    plain, jittered = run(None), run(0.2)
-    assert any(
-        not np.array_equal(tp.data, tj.data)
-        for (_, tp), (_, tj) in zip(plain.theta.parameters(), jittered.theta.parameters())
-    )
-
-
 def test_pretrain_loss_decreases_on_easy_problem():
-    cfg = tiny_cfg(t_init=12, batch=4)
-    state = make_state(cfg, with_gst=False)
-    scenes, masks = tiny_problem(cfg, n_scenes=4)
-    pretrain(state, scenes, masks)
+    cfg = tiny_cfg(t_init=12, batch=4, rounds=0)
+    state = run_training(build_experiment(cfg, TINY_SPEC), mode="full")
     losses = [row["loss"] for row in state.log]
     assert losses[-1] < losses[0]
-
-
-def test_bilevel_requires_phi():
-    cfg = tiny_cfg()
-    state = make_state(cfg, with_gst=False)
-    scenes, masks = tiny_problem(cfg)
-    with pytest.raises(ValueError):
-        bilevel_train(state, scenes[:2], scenes[2:], masks)
 
 
 def test_reconstruct_scene_shape():
@@ -610,11 +618,7 @@ def test_config_validate_errors():
 # -- checkpointing ----------------------------------------------------------
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
-    cfg = tiny_cfg(rounds=1)
-    state = make_state(cfg)
-    scenes, masks = tiny_problem(cfg, n_scenes=4)
-    pretrain(state, scenes[:2], masks)
-    bilevel_train(state, scenes[:2], scenes[2:], masks)
+    state = run_training(build_experiment(tiny_cfg(rounds=1), TINY_SPEC), mode="full")
     path = tmp_path / "run.ckp"
     save_state(state, path)
     loaded = load_state(path)
@@ -639,21 +643,14 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 def test_resume_matches_uninterrupted_run(tmp_path):
     cfg = tiny_cfg(rounds=2)
-    scenes, masks = tiny_problem(cfg, n_scenes=4)
+    exp = build_experiment(cfg, TINY_SPEC)
+    straight = run_training(exp, mode="full")
 
-    straight = make_state(cfg)
-    pretrain(straight, scenes[:2], masks)
-    bilevel_train(straight, scenes[:2], scenes[2:], masks)
-
-    part = make_state(cfg)
-    pretrain(part, scenes[:2], masks)
-    part.cfg = dataclasses.replace(cfg, rounds=1)
-    bilevel_train(part, scenes[:2], scenes[2:], masks)  # stop after round 1
-    save_state(part, tmp_path / "mid.ckp")
-
+    short = dataclasses.replace(exp, cfg=dataclasses.replace(cfg, rounds=1))
+    save_state(run_training(short, mode="full"), tmp_path / "mid.ckp")  # stop after round 1
     resumed = load_state(tmp_path / "mid.ckp")
     resumed.cfg = cfg  # restore the full budget
-    bilevel_train(resumed, scenes[:2], scenes[2:], masks)
+    train_regime(resumed, exp.train_scenes, exp.val_scenes, exp.train_masks)
 
     assert resumed.epoch == straight.epoch
     for (n, ta), (_, tb) in zip(straight.theta.parameters(),
