@@ -12,12 +12,12 @@ Ablations reuse the same bundle with the training regime swapped out:
 ``no-gst`` (plain mask-ensemble training), ``no-bilevel`` (joint
 single-loop optimization of both networks on the training scenes),
 ``fixed-variance`` (constant perturbation spread instead of the learned
-map), and ``prior-study`` (full method under different fabrication-error
-priors, set through ``prior_mu`` and ``prior_sigma``).  Every variant is
-one :func:`run_scenario` on its own config, so its ``config.txt``
-rebuilds it.  The harness holds no training loop: ``run_training`` makes a
-fresh state, records its regime, and hands it to
-:func:`casskit.trainer.train_regime`; every control gets the full
+map), and ``prior-study`` (full method under each fabrication-error prior
+of ``_STUDY_PRIORS``, set through ``prior_mu`` and ``prior_sigma``).
+Every variant is one :func:`run_scenario` on its own config, so its
+``config.txt`` rebuilds it.  The harness holds no training loop:
+``run_training`` makes a fresh state, records its regime, and hands it
+to :func:`casskit.trainer.train_regime`; every control gets the full
 method's theta budget.  Reports land as deterministic CSV files,
 uncertainty maps as PGM images plus raw cube dumps.
 """
@@ -32,17 +32,8 @@ import numpy as np
 from . import io
 from .backbone import srn_init
 from .gstnet import gst_forward, gst_init
-from .maskmodel import (
-    PRIOR_DEFAULT,
-    PRIOR_STDNORM,
-    PRIOR_WIDE,
-    MaskSet,
-    NoisePrior,
-    build_mask_sets,
-    realize_mask,
-    synthesize_clean_mask,
-)
-from .metrics import TrialReport, epistemic_map, psnr, ssim
+from .maskmodel import MaskSet, build_mask_sets, realize_mask, synthesize_clean_mask
+from .metrics import SSIM_WINDOW, TrialReport, epistemic_map, psnr, ssim
 from .ndgrad import Tensor, grad_check, tsum
 from .optics import HsiCube, Mask, encode
 from .trainer import (
@@ -76,6 +67,8 @@ __all__ = [
 
 _KINDS = ("one-to-one", "one-to-many", "many-to-many")
 ABLATIONS = ("no-gst", "no-bilevel", "fixed-variance", "prior-study")
+# (prior_mu, prior_sigma) of the prior study: the default, wide, standard normal
+_STUDY_PRIORS = ((0.006, 0.005), (0.006, 0.1), (0.0, 1.0))
 
 # fixed role indices for deriving independent generator streams from one seed
 _ROLE_SCENES = 1
@@ -218,7 +211,7 @@ def build_experiment(cfg, spec):
     clean = synthesize_clean_mask(
         spec.mask_base_h, spec.mask_base_w, spec.mask_density, mask_rng
     )
-    base = realize_mask(clean, NoisePrior(cfg.prior_mu, cfg.prior_sigma), mask_rng)
+    base = realize_mask(clean, cfg.prior_mu, cfg.prior_sigma, mask_rng)
     if spec.kind == "one-to-one":
         train_masks, _ = build_mask_sets(
             base, (spec.scene_h, spec.scene_w), 1, 0, mask_rng
@@ -311,6 +304,9 @@ def run_config_text(cfg, spec):
 
 def run_scenario(cfg, spec, out_dir=None, mode="full", fixed_g=0.0):
     """Build, train, evaluate, emit (given ``out_dir``); returns (state, report)."""
+    if min(spec.scene_h, spec.scene_w) < SSIM_WINDOW:  # refused before training
+        raise ValueError(f"scenes of {spec.scene_h}x{spec.scene_w} are smaller than "
+                         f"the {SSIM_WINDOW}x{SSIM_WINDOW} ssim window evaluation needs")
     exp = build_experiment(cfg, spec)
     state = run_training(exp, mode=mode, fixed_g=fixed_g)
     report = evaluate(state, exp, f"{spec.kind}/{mode}")
@@ -319,7 +315,7 @@ def run_scenario(cfg, spec, out_dir=None, mode="full", fixed_g=0.0):
     return state, report
 
 
-def run_ablation(kind, cfg, spec, out_dir=None, g0_values=(0.0, 0.1), priors=None):
+def run_ablation(kind, cfg, spec, out_dir=None, g0_values=(0.0, 0.1)):
     """Run one ablation family; returns {variant label: TrialReport}.
 
     Each variant is one :func:`run_scenario`, emitted to ``out_dir/<label>``.
@@ -329,13 +325,9 @@ def run_ablation(kind, cfg, spec, out_dir=None, g0_values=(0.0, 0.1), priors=Non
     if kind == "fixed-variance":
         variants = [(f"fixed-variance-g{g0:g}", cfg, kind, g0) for g0 in g0_values]
     elif kind == "prior-study":
-        if priors is None:
-            priors = (PRIOR_DEFAULT, PRIOR_WIDE, PRIOR_STDNORM)
-        variants = [
-            (f"prior-mu{p.mu:g}-sigma{p.sigma:g}",
-             replace(cfg, prior_mu=p.mu, prior_sigma=p.sigma), "full", 0.0)
-            for p in priors
-        ]
+        variants = [(f"prior-mu{mu:g}-sigma{sigma:g}",
+                     replace(cfg, prior_mu=mu, prior_sigma=sigma), "full", 0.0)
+                    for mu, sigma in _STUDY_PRIORS]
     else:
         variants = [(kind, cfg, kind, 0.0)]
     results = {}
@@ -482,9 +474,10 @@ def run_gradient_suite(quick=False, h=1e-5):
 
 
 def _end_to_end_check(h=1e-5):
-    """FD check of the whole loss chain on a 4x4x2 instance."""
+    """FD check of the whole loss chain, measurement noise included, on a 4x4x2
+    instance; the noise stream is re-seeded per evaluation, so all see one draw."""
     cfg = TrainConfig(
-        bands=2, d=1, backbone_channels=4, backbone_blocks=1,
+        bands=2, d=1, noise_std=0.01, backbone_channels=4, backbone_blocks=1,
         gst_channels=4, gst_proj_channels=2, batch=2, beta=1e-3,
     )
     rng = np.random.default_rng(7)
@@ -498,7 +491,8 @@ def _end_to_end_check(h=1e-5):
 
     def builder(_ps):
         total, _recon, _ent = total_loss(
-            theta, gst_forward(mask, phi), scenes, mask, cfg, eps_list=eps_list
+            theta, gst_forward(mask, phi), scenes, mask, cfg, eps_list=eps_list,
+            noise_rng=np.random.default_rng(13),
         )
         return total
 

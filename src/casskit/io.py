@@ -220,8 +220,11 @@ def load_checkpoint(path):
         )
     out = {}
     while r.pos < len(blob):
+        start = r.pos
         nlen = r.u32("name length")
         name = r.take(nlen, "name").decode("utf-8")
+        if name in out:
+            raise FormatError(f"{r.what}: repeated blob {name!r} at offset {start}")
         kind = r.u8("kind")
         plen = r.u64("payload length")
         payload = _Reader(r.take(plen, f"payload of {name!r}"), r.what)

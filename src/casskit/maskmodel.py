@@ -1,14 +1,15 @@
 """Coding-mask synthesis and the stochastic mask model.
 
 A fabricated mask never matches its design: we model a realized mask as
-the clean binary pattern plus Gaussian error, clamped back to physical
-transmittances.  During training the same decomposition is used in
-reverse: given a per-pixel standard-deviation map ``g`` (from the
-variance network) we draw perturbed masks m' = clamp01(m + g * eps) with
-eps ~ N(0, 1), which is the reparameterized form of sampling from
-N(m, g^2).  ``entropy_term`` is the matching average Gaussian entropy,
-mean(ln(g * sqrt(2*pi*e))), used to pressure ``g`` toward confident
-(small) values.
+the clean binary pattern plus Gaussian error N(mu, sigma^2), clamped back
+to physical transmittances; ``realize_mask`` takes (mu, sigma) from the
+config's ``prior_mu`` and ``prior_sigma``.  During training the same
+decomposition is used in reverse: given a per-pixel standard-deviation
+map ``g`` (from the variance network) we draw perturbed masks
+m' = clamp01(m + g * eps) with eps ~ N(0, 1), which is the
+reparameterized form of sampling from N(m, g^2).  ``entropy_term`` is the
+matching average Gaussian entropy, mean(ln(g * sqrt(2*pi*e))), used to
+pressure ``g`` toward confident (small) values.  Both run on the tape.
 """
 
 from __future__ import annotations
@@ -22,14 +23,9 @@ from .ndgrad import ShapeError, Tensor, add, clamp01, log, mul, tmean
 from .optics import Mask, _mask_values
 
 __all__ = [
-    "NoisePrior",
-    "PRIOR_DEFAULT",
-    "PRIOR_WIDE",
-    "PRIOR_STDNORM",
     "MaskSet",
     "LOG_SQRT_2PIE",
     "synthesize_clean_mask",
-    "draw_noise",
     "realize_mask",
     "sample_perturbed",
     "entropy_term",
@@ -39,23 +35,6 @@ __all__ = [
 
 # ln(sqrt(2*pi*e)); entropy of N(mu, s^2) is ln(s) + this constant
 LOG_SQRT_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
-
-
-@dataclass(frozen=True)
-class NoisePrior:
-    """Gaussian fabrication-error model for realized masks."""
-
-    mu: float = 0.006
-    sigma: float = 0.005
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"prior sigma must be >= 0, got {self.sigma}")
-
-
-PRIOR_DEFAULT = NoisePrior(0.006, 0.005)
-PRIOR_WIDE = NoisePrior(0.006, 0.1)
-PRIOR_STDNORM = NoisePrior(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -93,57 +72,46 @@ def synthesize_clean_mask(h, w, density=0.5, rng=None):
     return Mask(values)
 
 
-def draw_noise(prior, shape, rng):
-    """One realization of the fabrication-error field z ~ N(mu, sigma^2)."""
-    return rng.normal(prior.mu, prior.sigma, size=shape)
-
-
-def realize_mask(clean, prior, rng):
-    """Fabricate: clean pattern plus Gaussian error, clamped to [0, 1]."""
+def realize_mask(clean, mu, sigma, rng):
+    """Fabricate: clean pattern plus N(mu, sigma^2) error, clamped to [0, 1]."""
     cv = _mask_values(clean)
-    z = draw_noise(prior, cv.shape, rng)
-    return Mask(np.clip(cv + z, 0.0, 1.0))
+    return Mask(np.clip(cv + rng.normal(mu, sigma, size=cv.shape), 0.0, 1.0))
 
 
-def sample_perturbed(m, g, eps=None, rng=None, eps_std=1.0):
-    """Reparameterized draw m' = clamp01(m + g * eps).
+def sample_perturbed(m, g, eps=None, rng=None):
+    """Reparameterized draw m' = clamp01(m + g * eps) on the tape.
 
-    ``m`` is a Mask or 2-D array (treated as constant data).  When ``g``
-    is a Tensor the result stays on the tape and gradients flow into
-    ``g``; a plain-array ``g`` gives a plain-array result.  ``eps``
-    defaults to an N(0, eps_std^2) draw from ``rng``.
+    ``m`` is a Mask or 2-D array (treated as constant data); ``g`` is a
+    Tensor of the mask's shape or a scalar Tensor, and gradients flow
+    into it.  ``eps`` defaults to an N(0, 1) draw from ``rng``.
     """
     mv = _mask_values(m)
-    gshape = g.data.shape if isinstance(g, Tensor) else np.shape(g)
-    if gshape != mv.shape and gshape != ():
-        raise ShapeError(f"deviation map shape {gshape} does not match mask {mv.shape}")
+    if not isinstance(g, Tensor):
+        raise TypeError("sample_perturbed deviation map must be a Tensor")
+    if g.data.shape not in (mv.shape, ()):
+        raise ShapeError(f"deviation map shape {g.data.shape} does not match mask {mv.shape}")
     if eps is None:
         if rng is None:
             raise ValueError("sample_perturbed requires eps or an rng")
-        eps = eps_std * rng.standard_normal(mv.shape)
+        eps = rng.standard_normal(mv.shape)
     else:
         eps = np.asarray(eps, dtype=np.float64)
         if eps.shape != mv.shape:
             raise ShapeError(f"eps shape {eps.shape} does not match mask {mv.shape}")
-    if isinstance(g, Tensor):
-        return clamp01(add(Tensor(mv), mul(g, Tensor(eps))))
-    return np.clip(mv + np.asarray(g, dtype=np.float64) * eps, 0.0, 1.0)
+    return clamp01(add(Tensor(mv), mul(g, Tensor(eps))))
 
 
 def entropy_term(g):
     """Mean over pixels of ln(g * sqrt(2*pi*e)), the per-pixel Gaussian entropy.
 
-    Tensor in, scalar Tensor out (differentiable); array in, float out.
-    Zero exactly when g == (2*pi*e)**-0.5; negative for smaller g.
+    Tensor in, scalar Tensor out (differentiable).  Zero exactly when
+    g == (2*pi*e)**-0.5; negative for smaller g.
     """
-    if isinstance(g, Tensor):
-        if np.any(g.data <= 0.0):
-            raise ValueError("entropy_term: deviation map must be strictly positive")
-        return add(tmean(log(g)), LOG_SQRT_2PIE)
-    gv = np.asarray(g, dtype=np.float64)
-    if np.any(gv <= 0.0):
+    if not isinstance(g, Tensor):
+        raise TypeError("entropy_term deviation map must be a Tensor")
+    if np.any(g.data <= 0.0):
         raise ValueError("entropy_term: deviation map must be strictly positive")
-    return float(np.mean(np.log(gv)) + LOG_SQRT_2PIE)
+    return add(tmean(log(g)), LOG_SQRT_2PIE)
 
 
 def mask_histogram(m, bins):

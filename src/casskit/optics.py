@@ -3,9 +3,10 @@
 The camera multiplies each spectral channel of a scene by a coding mask,
 shears the channels horizontally by ``d`` pixels per channel index, and
 sums them onto a single 2-D detector.  ``encode_tape`` produces that
-measurement and ``init_input_tape`` undoes the shear per channel (window
-extraction times mask) to seed a reconstruction network, both on the
-gradient tape so the mask can be optimized through them.  ``encode`` and
+measurement, with any measurement noise, and ``init_input_tape`` undoes
+the shear per channel (window extraction times mask) to seed a
+reconstruction network, both on the gradient tape so the mask can be
+optimized through them.  ``encode`` and
 ``init_input`` are their plain-array entry points: typed inputs in,
 values out, with the same arithmetic.
 """
@@ -135,17 +136,11 @@ def _mask_values(m):
 def encode(x, m, d=2, noise_std=0.0, rng=None):
     """Form the detector image: sum over channels of shifted (scene * mask).
 
-    Returns a :class:`Measurement`.  With ``noise_std > 0`` adds pixelwise
-    N(0, noise_std^2) from ``rng``.  The map itself is :func:`encode_tape`.
+    Returns a :class:`Measurement`.  The map and its noise are
+    :func:`encode_tape`'s.
     """
     _, w, bands = _cube_values(x).shape
-    y = encode_tape(x, Tensor(_mask_values(m)), d).data
-    if noise_std < 0:
-        raise ValueError(f"noise std must be >= 0, got {noise_std}")
-    if noise_std > 0.0:
-        if rng is None:
-            raise ValueError("noise_std > 0 requires an rng")
-        y = y + rng.normal(0.0, noise_std, size=y.shape)
+    y = encode_tape(x, Tensor(_mask_values(m)), d, noise_std, rng).data
     return Measurement(y, step=d, width=w, bands=bands)
 
 
@@ -169,11 +164,12 @@ def init_input(y, m, d=None, bands=None):
     return chw_to_cube(init_input_tape(Tensor(yv), Tensor(mv), d, bands).data)
 
 
-def encode_tape(x, m, d=2):
+def encode_tape(x, m, d=2, noise_std=0.0, rng=None):
     """Tape version of :func:`encode` with the mask on the tape.
 
-    The scene is constant data; gradients flow only into ``m``.  Returns
-    the measurement as a 2-D Tensor.
+    The scene is constant data; gradients flow only into ``m``.  With
+    ``noise_std > 0`` adds pixelwise N(0, noise_std^2) from ``rng``.
+    Returns the measurement as a 2-D Tensor.
     """
     xv = _cube_values(x)
     if not isinstance(m, Tensor):
@@ -183,9 +179,15 @@ def encode_tape(x, m, d=2):
         raise ShapeError(f"mask shape {m.data.shape} does not match scene {(h, w)}")
     if d < 0:
         raise ValueError(f"dispersion step must be >= 0, got {d}")
+    if noise_std < 0:
+        raise ValueError(f"noise std must be >= 0, got {noise_std}")
     y = np.zeros((h, w + d * (bands - 1)))
     for i in range(bands):
         y[:, d * i : d * i + w] += xv[:, :, i] * m.data
+    if noise_std > 0.0:
+        if rng is None:
+            raise ValueError("noise_std > 0 requires an rng")
+        y += rng.normal(0.0, noise_std, size=y.shape)
 
     def _bw(g):
         if not m._need:

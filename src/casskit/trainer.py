@@ -27,8 +27,9 @@ only theta steps.  The losses only score the map they are given.
 Each loss sample redraws the mask: m' = clamp01(m + g * eps), re-encodes
 the scene through m', and reconstructs from the windowed initialization,
 so gradients reach phi through both the measurement and the conditioning.
-Training measurement noise is N(0, ``noise_std``^2) per detector pixel;
-``noise_std = 0`` draws none.
+eps is N(0, 1).  Training measurement noise is N(0, ``noise_std``^2) per
+detector pixel, drawn by :func:`casskit.optics.encode_tape` from the
+epoch's noise stream; ``noise_std = 0`` draws none.
 
 Every random draw comes from a role-named generator stream (data order,
 mask choice, eps, measurement noise), so runs are reproducible and a
@@ -104,10 +105,9 @@ class TrainConfig:
     bands: int = 4
     d: int = 2
     noise_std: float = 0.0  # training measurement noise; 0 draws none
-    # mask fabrication prior and perturbation draw
+    # mask fabrication prior N(prior_mu, prior_sigma^2)
     prior_mu: float = 0.006
     prior_sigma: float = 0.005
-    eps_std: float = 1.0
     # networks
     backbone_channels: int = 16
     backbone_blocks: int = 4
@@ -133,23 +133,14 @@ class TrainConfig:
             raise ValueError(f"bands must be >= 1, got {self.bands}")
         if self.d < 0:
             raise ValueError(f"dispersion step must be >= 0, got {self.d}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.prior_sigma < 0 or self.eps_std < 0:
-            raise ValueError("spreads must be >= 0")
         if min(self.backbone_channels, self.gst_channels, self.gst_proj_channels) < 1:
             raise ValueError("channel counts must be >= 1")
-        if self.backbone_blocks < 0:
-            raise ValueError("backbone_blocks must be >= 0")
-        for name in ("alpha0", "alpha1", "alpha2"):
+        for name in ("noise_std", "prior_sigma", "backbone_blocks", "alpha0", "alpha1",
+                     "alpha2", "t_init", "t_trn", "t_val", "rounds", "beta"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if min(self.t_init, self.t_trn, self.t_val, self.rounds) < 0:
-            raise ValueError("epoch and round counts must be >= 0")
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.lr_halve_period < 1:
             raise ValueError(f"lr_halve_period must be >= 1, got {self.lr_halve_period}")
         return self
@@ -208,15 +199,16 @@ class Adam(object):
 
 
 def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
-               noise_fields=None):
+               noise_rng=None):
     """Monte-Carlo reconstruction loss over one batch and one mask.
 
     ``g`` is the per-pixel deviation map, a Tensor.  Each sample draws
     its own perturbed mask m' = clamp01(m + g * eps), encodes the scene
     through m' and reconstructs from the windowed initialization, so the
-    loss reaches whatever ``g`` hangs from on the tape.  ``eps_list`` and
-    ``noise_fields`` override the draws from ``rng`` and add measurement
-    noise.  The loss is the mean over batch and pixels.
+    loss reaches whatever ``g`` hangs from on the tape.  ``eps_list``
+    overrides the eps draws from ``rng``; with ``cfg.noise_std > 0`` each
+    encode draws its measurement noise from ``noise_rng``.  The loss is
+    the mean over batch and pixels.
     """
     scenes = [_cube_values(x) for x in batch]
     if not scenes:
@@ -224,10 +216,8 @@ def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
     terms = []
     for i, xv in enumerate(scenes):
         eps = None if eps_list is None else eps_list[i]
-        m_t = sample_perturbed(mask, g, eps=eps, rng=rng, eps_std=cfg.eps_std)
-        y = encode_tape(xv, m_t, cfg.d)
-        if noise_fields is not None:
-            y = add(y, Tensor(noise_fields[i]))
+        m_t = sample_perturbed(mask, g, eps=eps, rng=rng)
+        y = encode_tape(xv, m_t, cfg.d, cfg.noise_std, noise_rng)
         x_in = init_input_tape(y, m_t, cfg.d, xv.shape[2])
         xhat = reconstruct(x_in, theta)
         diff = add(xhat, neg(Tensor(cube_to_chw(xv))))
@@ -240,15 +230,14 @@ def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
 
 
 def total_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
-               noise_fields=None):
+               noise_rng=None):
     """Reconstruction loss plus beta-weighted mask entropy of ``g``.
 
     Returns (total, recon, mean_entropy_float).  With beta == 0 the total
     IS the recon loss object, so the two are bit-identical.
     """
-    loss = recon_loss(
-        theta, g, batch, mask, cfg, rng, eps_list=eps_list, noise_fields=noise_fields
-    )
+    loss = recon_loss(theta, g, batch, mask, cfg, rng, eps_list=eps_list,
+                      noise_rng=noise_rng)
     ent = entropy_term(g)
     total = loss
     if cfg.beta != 0.0:
@@ -312,16 +301,6 @@ def _batches(scenes, batch, rng):
         yield [scenes[int(i)] for i in idx[s : s + batch]]
 
 
-def _draw_noise_fields(cfg, scenes, rng):
-    if cfg.noise_std == 0.0:
-        return None
-    fields_ = []
-    for xv in scenes:
-        h, w, bands = _cube_values(xv).shape
-        fields_.append(rng.normal(0.0, cfg.noise_std, size=(h, w + cfg.d * (bands - 1))))
-    return fields_
-
-
 def _pick_mask(masks, rng):
     return masks[int(rng.integers(len(masks)))]
 
@@ -373,7 +352,6 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     nb = 0
     for batch in _batches(scenes, cfg.batch, order):
         m = _pick_mask(masks, pick)
-        noise = _draw_noise_fields(cfg, batch, noise_rng)
         if lr_phi is not None:
             g = gst_forward(m, state.phi)
         elif phi is not None:
@@ -381,10 +359,10 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
         else:
             g = Tensor(np.full(_mask_values(m).shape, fixed_g, dtype=np.float64))
         if lr_phi is None:
-            loss = recon_loss(state.theta, g, batch, m, cfg, eps, noise_fields=noise)
+            loss = recon_loss(state.theta, g, batch, m, cfg, eps, noise_rng=noise_rng)
         else:
             loss, _recon, ent = total_loss(state.theta, g, batch, m, cfg, eps,
-                                           noise_fields=noise)
+                                           noise_rng=noise_rng)
             ent_tot += ent
         backward(loss, wrt)
         for opt, lr in stepped:
@@ -479,11 +457,17 @@ def _networks(state):
     return nets
 
 
-def _finite_blob(blobs, name):
-    arr = blobs[name]
-    if not np.all(np.isfinite(arr)):
+def _blob(blobs, name, kind=np.ndarray):
+    """``blobs[name]``: text for ``kind=str``, else an all-finite array."""
+    want = "text" if kind is str else "an array"
+    if name not in blobs:
+        raise ValueError(f"checkpoint lacks the {name!r} blob ({want})")
+    value = blobs[name]
+    if not isinstance(value, kind):
+        raise ValueError(f"checkpoint blob {name!r} must be {want}")
+    if kind is not str and not np.all(np.isfinite(value)):
         raise ValueError(f"checkpoint blob {name!r} holds non-finite values")
-    return arr
+    return value
 
 
 def state_blobs(state):
@@ -509,33 +493,31 @@ def state_blobs(state):
 
 def state_from_blobs(blobs):
     """Rebuild a TrainState; inverse of :func:`state_blobs`."""
-    cfg_items = io.parse_config(blobs["meta/config"])
+    cfg_items = io.parse_config(_blob(blobs, "meta/config", str))
     cfg = io.coerce_dataclass(cfg_items, TrainConfig)
     with_gst = any(k.startswith("phi/") for k in blobs)
     state = make_state(cfg, with_gst=with_gst)
-    counters = json.loads(blobs["meta/counters"])
+    counters = json.loads(_blob(blobs, "meta/counters", str))
     state.epoch = int(counters["epoch"])
     state.round = int(counters["round"])
-    state.log = json.loads(blobs["meta/log"])
+    state.log = json.loads(_blob(blobs, "meta/log", str))
     if "meta/regime" in blobs:
-        state.regime = json.loads(blobs["meta/regime"])
-    state.scenario = blobs.get("meta/scenario")
+        state.regime = json.loads(_blob(blobs, "meta/regime", str))
+    if "meta/scenario" in blobs:
+        state.scenario = _blob(blobs, "meta/scenario", str)
     for role, gen in state.rngs.items():
-        name = f"meta/rng/{role}"
-        if name not in blobs:
-            raise ValueError(f"checkpoint lacks the {name!r} blob")
-        gen.bit_generator.state = json.loads(blobs[name])
+        gen.bit_generator.state = json.loads(_blob(blobs, f"meta/rng/{role}", str))
     for prefix, params, adam in _networks(state):
         for n, t in params.parameters():
-            arr = _finite_blob(blobs, f"{prefix}/{n}")
+            arr = _blob(blobs, f"{prefix}/{n}")
             if arr.shape != t.data.shape:
                 raise ValueError(f"checkpoint {prefix}/{n} has shape {arr.shape}, "
                                  f"expected {t.data.shape}")
             t.data[...] = arr
-        adam.t = int(json.loads(blobs[f"opt_{prefix}/t"]))
+        adam.t = int(json.loads(_blob(blobs, f"opt_{prefix}/t", str)))
         for n, _ in adam.named:
-            adam.m[n] = np.array(_finite_blob(blobs, f"opt_{prefix}/m/{n}"))
-            adam.v[n] = np.array(_finite_blob(blobs, f"opt_{prefix}/v/{n}"))
+            adam.m[n] = np.array(_blob(blobs, f"opt_{prefix}/m/{n}"))
+            adam.v[n] = np.array(_blob(blobs, f"opt_{prefix}/v/{n}"))
     return state
 
 

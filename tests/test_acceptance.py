@@ -32,8 +32,9 @@ from casskit.harness import (
     run_scenario,
     run_training,
 )
-from casskit.maskmodel import NoisePrior, entropy_term, realize_mask, sample_perturbed
+from casskit.maskmodel import entropy_term, realize_mask, sample_perturbed
 from casskit.metrics import epistemic_map, psnr, spectral_correlation, ssim
+from casskit.ndgrad import Tensor
 from casskit.optics import HsiCube, Mask, encode
 from casskit.trainer import (
     TrainConfig,
@@ -128,11 +129,12 @@ def test_criterion_02_gradient_suite():
 # -- criterion 3: entropy closed form ---------------------------------------
 
 def test_criterion_03_entropy_closed_form():
+    # entropy_term on the tape, as training calls it
     want = math.log(0.005 * math.sqrt(2.0 * math.pi * math.e))
-    got = entropy_term(np.full((5, 5), 0.005))
+    got = float(entropy_term(Tensor(np.full((5, 5), 0.005))).data)
     err_value = abs(got - want)
     zero_g = (2.0 * math.pi * math.e) ** -0.5
-    err_zero = abs(entropy_term(np.full((5, 5), zero_g)))
+    err_zero = abs(float(entropy_term(Tensor(np.full((5, 5), zero_g))).data))
     record(
         3,
         err_value <= 1e-12 and err_zero <= 1e-12,
@@ -144,20 +146,21 @@ def test_criterion_03_entropy_closed_form():
 # -- criterion 4: reparameterized draw statistics ---------------------------
 
 def test_criterion_04_sampling_statistics():
+    # sample_perturbed on the tape, drawing its own eps, as training calls it;
+    # at m = 0.5, g = 0.05 the clamp never fires, so post is m + g * eps
     n = 100_000
     m_val, g_val = 0.5, 0.05
     shape = (250, 400)  # n pixels, all sharing one (m, g)
     rng = np.random.default_rng(404)
-    eps = rng.standard_normal(shape)
-    pre = m_val + g_val * eps
-    mean_err = abs(pre.mean() - m_val)
-    std_err = abs(pre.std() - g_val)
+    post = sample_perturbed(np.full(shape, m_val), Tensor(np.full(shape, g_val)),
+                            rng=rng).data
+    mean_err = abs(post.mean() - m_val)
+    std_err = abs(post.std() - g_val)
     mean_tol = 4.0 * g_val / math.sqrt(n)
     std_tol = 0.02 * g_val
-    post = sample_perturbed(np.full(shape, m_val), g_val, eps=eps)
     post_active = sample_perturbed(
-        np.full(shape, 0.02), 0.5, eps=rng.standard_normal(shape)
-    )
+        np.full(shape, 0.02), Tensor(np.full(shape, 0.5)), rng=rng
+    ).data
     in_range = (
         post.min() >= 0.0 and post.max() <= 1.0
         and post_active.min() >= 0.0 and post_active.max() <= 1.0
@@ -261,9 +264,9 @@ def test_criterion_08_epistemic_map_sanity():
 
     rng = np.random.default_rng(808)
     x = gen_synth_scenes(1, 8, 8, cfg.bands, rng)[0]
-    prior = NoisePrior(cfg.prior_mu, cfg.prior_sigma)
     masks = [
-        realize_mask((rng.random((8, 8)) < 0.5).astype(float), prior, rng)
+        realize_mask((rng.random((8, 8)) < 0.5).astype(float), cfg.prior_mu,
+                     cfg.prior_sigma, rng)
         for _ in range(3)
     ]
     var_same, _ = epistemic_map(model, x, [masks[0]] * 3, cfg.d)

@@ -100,11 +100,11 @@ def test_load_config_routes_between_dataclasses():
 
 
 @pytest.mark.parametrize("line", [
-    "noise_mode=fixed", "noise_max=0.05", "eps_mean=0.0", "perturb_encode=true",
-    "loss_scale=mean", "pretrain_perturb=true",
+    "noise_mode=fixed", "noise_max=0.05", "eps_mean=0.0", "eps_std=1.0",
+    "perturb_encode=true", "loss_scale=mean", "pretrain_perturb=true",
 ])
 def test_deleted_config_keys_are_rejected_by_name(line):
-    # training noise is noise_std alone, eps is N(0, eps_std^2),
+    # training noise is noise_std alone, eps is N(0, 1),
     # measurements are always re-encoded through the perturbed mask, the
     # loss is always a mean, and pretrain always perturbs through phi
     key = line.partition("=")[0]
@@ -118,7 +118,7 @@ def test_deleted_config_keys_are_rejected_by_name(line):
 
 @pytest.mark.parametrize("line", [
     "beta=nan", "alpha1=nan", "noise_std=inf", "prior_sigma=nan", "prior_mu=-inf",
-    "eps_std=inf", "eval_noise_std=nan", "mask_density=nan",
+    "eval_noise_std=nan", "mask_density=nan",
 ])
 def test_nonfinite_config_floats_are_rejected_by_name(line):
     # "x < 0" is False for nan, so every range check alone would let one through
@@ -300,6 +300,21 @@ def test_run_scenario_emits_complete_tree(tmp_path):
         run_config_text(cfg, spec)
     )
     assert len(report.rows) == spec.trials * spec.scenes_test
+
+
+def test_run_scenario_refuses_scenes_below_the_ssim_window_before_training(monkeypatch):
+    from casskit import harness
+
+    def no_training(*args, **kw):
+        raise AssertionError("trained before refusing the scene size")
+
+    monkeypatch.setattr(harness, "run_training", no_training)
+    for h, w in ((8, 8), (12, 10)):
+        spec = tiny_spec(scene_h=h, scene_w=w)
+        with pytest.raises(ValueError, match=f"{h}x{w} are smaller than the 11x11 ssim"):
+            run_scenario(tiny_cfg(), spec)
+        with pytest.raises(ValueError, match="11x11 ssim"):
+            run_ablation("no-gst", tiny_cfg(), spec)
 
 
 def test_run_ablation_fixed_variance_labels(tmp_path):
@@ -492,6 +507,22 @@ def test_cli_train_resume_without_regime_names_the_blob(cli_env, tmp_path, capsy
                "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "meta/regime" in capsys.readouterr().err
+
+
+def test_cli_eval_names_a_missing_or_mistyped_blob(cli_env, tmp_path, capsys):
+    # a damaged checkpoint is a data error (exit 2) that names the blob
+    for name, value in (("opt_theta/t", None), ("meta/counters", np.zeros(2))):
+        blobs = load_checkpoint(cli_env["train"] / "checkpoint.ckp")
+        if value is None:
+            del blobs[name]
+        else:
+            blobs[name] = value
+        bad = tmp_path / "bad.ckp"
+        save_checkpoint(bad, blobs)
+        rc = main(["eval", "--config", str(cli_env["cfg"]), "--checkpoint", str(bad),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2, name
+        assert repr(name) in capsys.readouterr().err
 
 
 def test_cli_train_resume_rejects_another_config(cli_env, tmp_path, capsys):

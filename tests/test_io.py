@@ -216,6 +216,19 @@ def test_checkpoint_unknown_kind(tmp_path):
         load_checkpoint(p)
 
 
+def test_checkpoint_rejects_a_repeated_blob_name(tmp_path):
+    # two text blobs named "a"; a later one must not overwrite the earlier
+    def text_blob(name, value):
+        return (struct.pack("<I", len(name)) + name + struct.pack("<B", 1)
+                + struct.pack("<Q", len(value)) + value)
+
+    first = text_blob(b"a", b"x")
+    p = tmp_path / "c.ckp"
+    p.write_bytes(MAGIC_CKPT + struct.pack("<I", CKPT_VERSION) + first + text_blob(b"a", b"y"))
+    with pytest.raises(FormatError, match=f"repeated blob 'a' at offset {8 + len(first)}"):
+        load_checkpoint(p)
+
+
 def test_checkpoint_truncated_payload(tmp_path):
     # entry declares a 5-element vector but carries only one value
     inner = struct.pack("<B", 1) + struct.pack("<I", 5) + b"\0" * 8

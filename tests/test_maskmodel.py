@@ -2,7 +2,8 @@
 
 The entropy constant and the Gaussian-draw statistics have closed forms,
 so those are the oracles here; the sampling path is additionally checked
-on the tape against finite differences.
+against finite differences.  Both run on the tape, the one path training
+uses.
 """
 
 import math
@@ -14,13 +15,8 @@ from hypothesis import strategies as st
 
 from casskit.maskmodel import (
     LOG_SQRT_2PIE,
-    PRIOR_DEFAULT,
-    PRIOR_STDNORM,
-    PRIOR_WIDE,
     MaskSet,
-    NoisePrior,
     build_mask_sets,
-    draw_noise,
     entropy_term,
     mask_histogram,
     realize_mask,
@@ -31,6 +27,14 @@ from casskit.ndgrad import ShapeError, Tensor, backward, grad_check, mul, tsum
 from casskit.optics import Mask
 
 RNG = np.random.default_rng(55)
+
+
+def entropy_of(gv):
+    return float(entropy_term(Tensor(np.asarray(gv, dtype=np.float64))).data)
+
+
+def draw(m, g, **kw):
+    return sample_perturbed(m, Tensor(np.asarray(g, dtype=np.float64)), **kw).data
 
 
 # -- entropy ----------------------------------------------------------------
@@ -45,43 +49,40 @@ def test_entropy_constant_value():
 def test_entropy_closed_form_small_g():
     g = np.full((6, 6), 0.005)
     want = math.log(0.005 * math.sqrt(2 * math.pi * math.e))
-    assert entropy_term(g) == pytest.approx(want, abs=1e-12)
-    assert entropy_term(g) == pytest.approx(-3.8793788333433645, abs=1e-9)
+    assert entropy_of(g) == pytest.approx(want, abs=1e-12)
+    assert entropy_of(g) == pytest.approx(-3.8793788333433645, abs=1e-9)
 
 
 def test_entropy_zero_point():
     g0 = (2 * math.pi * math.e) ** -0.5
-    assert entropy_term(np.full((4, 4), g0)) == pytest.approx(0.0, abs=1e-12)
-    assert entropy_term(np.full((4, 4), g0 / 2)) < 0
-    assert entropy_term(np.full((4, 4), g0 * 2)) > 0
+    assert entropy_of(np.full((4, 4), g0)) == pytest.approx(0.0, abs=1e-12)
+    assert entropy_of(np.full((4, 4), g0 / 2)) < 0
+    assert entropy_of(np.full((4, 4), g0 * 2)) > 0
 
 
 def test_entropy_tensor_matches_array_and_grad():
+    # the array side is the closed form in numpy
     gv = RNG.uniform(0.01, 0.8, size=(5, 5))
     t = Tensor(gv)
     out = entropy_term(t)
-    assert float(out.data) == pytest.approx(entropy_term(gv), abs=1e-15)
+    assert float(out.data) == pytest.approx(np.mean(np.log(gv)) + LOG_SQRT_2PIE,
+                                            abs=1e-15)
     backward(out)
     # d/dg mean(ln g) = 1 / (n * g)
     np.testing.assert_allclose(t.grad, 1.0 / (gv.size * gv), atol=1e-12)
 
 
 def test_entropy_rejects_nonpositive():
+    # a plain array is refused too: entropy_term has only its tape path
     with pytest.raises(ValueError):
-        entropy_term(np.array([[0.1, 0.0], [0.2, 0.3]]))
+        entropy_term(Tensor(np.array([[0.1, 0.0], [0.2, 0.3]])))
     with pytest.raises(ValueError):
         entropy_term(mul(Tensor(np.full((2, 2), 0.1)), -1.0))
+    with pytest.raises(TypeError):
+        entropy_term(np.full((2, 2), 0.1))
 
 
 # -- fabrication ------------------------------------------------------------
-
-def test_prior_presets():
-    assert (PRIOR_DEFAULT.mu, PRIOR_DEFAULT.sigma) == (0.006, 0.005)
-    assert (PRIOR_WIDE.mu, PRIOR_WIDE.sigma) == (0.006, 0.1)
-    assert (PRIOR_STDNORM.mu, PRIOR_STDNORM.sigma) == (0.0, 1.0)
-    with pytest.raises(ValueError):
-        NoisePrior(0.0, -1.0)
-
 
 def test_synthesize_density_and_binary():
     m = synthesize_clean_mask(64, 64, density=0.3, rng=np.random.default_rng(8))
@@ -93,15 +94,17 @@ def test_synthesize_density_and_binary():
         synthesize_clean_mask(8, 8)  # rng required
 
 
-def test_draw_noise_moments():
-    z = draw_noise(PRIOR_DEFAULT, (400, 400), np.random.default_rng(4))
+def test_realize_mask_error_moments():
+    # a mid-grey pattern keeps the clamp out of reach, so the error is z itself
+    real = realize_mask(np.full((400, 400), 0.5), 0.006, 0.005, np.random.default_rng(4))
+    z = real.values - 0.5
     assert z.mean() == pytest.approx(0.006, abs=4 * 0.005 / 400)
     assert z.std() == pytest.approx(0.005, rel=0.02)
 
 
 def test_realize_mask_clamped_and_near_clean():
     clean = synthesize_clean_mask(32, 32, 0.5, np.random.default_rng(1))
-    real = realize_mask(clean, PRIOR_DEFAULT, np.random.default_rng(2))
+    real = realize_mask(clean, 0.006, 0.005, np.random.default_rng(2))
     assert real.values.min() >= 0.0 and real.values.max() <= 1.0
     # sigma = 0.005: realized values hug the binary pattern
     assert np.max(np.abs(real.values - clean.values)) < 0.05
@@ -109,7 +112,7 @@ def test_realize_mask_clamped_and_near_clean():
 
 def test_realize_mask_sigma_zero_shifts_only():
     clean = synthesize_clean_mask(8, 8, 0.5, np.random.default_rng(1))
-    real = realize_mask(clean, NoisePrior(0.01, 0.0), np.random.default_rng(2))
+    real = realize_mask(clean, 0.01, 0.0, np.random.default_rng(2))
     np.testing.assert_allclose(real.values, np.clip(clean.values + 0.01, 0, 1),
                                atol=1e-15)
 
@@ -120,14 +123,14 @@ def test_sample_perturbed_explicit_eps_closed_form():
     m = np.array([[0.0, 1.0], [0.5, 0.25]])
     g = np.full((2, 2), 0.1)
     eps = np.array([[1.0, 1.0], [-2.0, 30.0]])
-    out = sample_perturbed(m, g, eps=eps)
+    out = draw(m, g, eps=eps)
     np.testing.assert_allclose(out, [[0.1, 1.0], [0.3, 1.0]], atol=1e-15)
 
 
 def test_sample_perturbed_scalar_g_broadcasts():
     m = np.full((3, 3), 0.5)
     eps = np.ones((3, 3))
-    out = sample_perturbed(m, 0.2, eps=eps)
+    out = draw(m, 0.2, eps=eps)
     np.testing.assert_allclose(out, np.full((3, 3), 0.7), atol=1e-15)
 
 
@@ -137,7 +140,7 @@ def test_sample_perturbed_rng_statistics():
     g = np.full((1, 1), 0.05)
     rng = np.random.default_rng(10)
     draws = np.array([
-        sample_perturbed(m, g, rng=rng)[0, 0] for _ in range(20000)
+        draw(m, g, rng=rng)[0, 0] for _ in range(20000)
     ])
     assert draws.mean() == pytest.approx(0.5, abs=4 * 0.05 / math.sqrt(20000))
     assert draws.std() == pytest.approx(0.05, rel=0.03)
@@ -170,13 +173,15 @@ def test_sample_perturbed_tape_finite_differences():
 def test_sample_perturbed_errors():
     m = np.full((2, 2), 0.5)
     with pytest.raises(ValueError):
-        sample_perturbed(m, np.full((2, 2), 0.1))  # no eps, no rng
+        draw(m, np.full((2, 2), 0.1))  # no eps, no rng
     with pytest.raises(ShapeError):
-        sample_perturbed(m, np.full((3, 3), 0.1), eps=np.zeros((2, 2)))
+        draw(m, np.full((3, 3), 0.1), eps=np.zeros((2, 2)))
     with pytest.raises(ShapeError):
-        sample_perturbed(m, np.full((2, 2), 0.1), eps=np.zeros((3, 3)))
+        draw(m, np.full((2, 2), 0.1), eps=np.zeros((3, 3)))
     with pytest.raises(ShapeError):
-        sample_perturbed(np.zeros((2, 2, 2)), 0.1, eps=np.zeros((2, 2)))
+        draw(np.zeros((2, 2, 2)), 0.1, eps=np.zeros((2, 2)))
+    with pytest.raises(TypeError):
+        sample_perturbed(m, np.full((2, 2), 0.1), eps=np.zeros((2, 2)))
 
 
 # -- histogram --------------------------------------------------------------
@@ -196,7 +201,7 @@ def test_mask_histogram_counts_everything():
 def test_build_mask_sets_shapes_roles_count():
     base = realize_mask(
         synthesize_clean_mask(48, 48, 0.5, np.random.default_rng(0)),
-        PRIOR_DEFAULT, np.random.default_rng(1),
+        0.006, 0.005, np.random.default_rng(1),
     )
     train, test = build_mask_sets(base, (16, 16), 6, 4, np.random.default_rng(2))
     assert (len(train), len(test)) == (6, 4)
@@ -244,8 +249,7 @@ def test_mask_set_invariants():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(1e-4, 2.0), st.floats(-6.0, 6.0))
 def test_sample_always_in_unit_interval(mval, gval, epsval):
-    out = sample_perturbed(np.full((2, 2), mval), np.full((2, 2), gval),
-                           eps=np.full((2, 2), epsval))
+    out = draw(np.full((2, 2), mval), np.full((2, 2), gval), eps=np.full((2, 2), epsval))
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
@@ -253,6 +257,6 @@ def test_sample_always_in_unit_interval(mval, gval, epsval):
 @given(st.floats(1e-3, 5.0), st.floats(1e-3, 5.0))
 def test_entropy_monotone_in_g(g1, g2):
     lo, hi = sorted((g1, g2))
-    e_lo = entropy_term(np.full((2, 2), lo))
-    e_hi = entropy_term(np.full((2, 2), hi))
+    e_lo = entropy_of(np.full((2, 2), lo))
+    e_hi = entropy_of(np.full((2, 2), hi))
     assert e_lo <= e_hi + 1e-12

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casskit.ndgrad import ShapeError, Tensor, grad_check, mul, tsum
+from casskit.ndgrad import ShapeError, Tensor, backward, grad_check, mul, tsum
 from casskit.optics import (
     HsiCube,
     Mask,
@@ -190,6 +190,26 @@ def test_encode_tape_matches_encode():
     yt = encode_tape(x, Tensor(m), d=2)
     np.testing.assert_allclose(yt.data, encode_oracle(x, m, 2), atol=1e-12)
     np.testing.assert_array_equal(encode(x, m, d=2).values, yt.data)
+
+
+def test_encode_tape_draws_the_measurement_noise():
+    # encode's noise is encode_tape's: one N(0, noise_std^2) field added to
+    # the clean value, and the tape's mask gradient ignores it
+    x = RNG.random((4, 5, 3))
+    m = Tensor(RNG.random((4, 5)))
+    clean = encode_tape(x, m, d=2)
+    noisy = encode_tape(x, m, 2, 0.1, np.random.default_rng(3))
+    field = np.random.default_rng(3).normal(0.0, 0.1, size=clean.data.shape)
+    np.testing.assert_array_equal(noisy.data, clean.data + field)
+    np.testing.assert_array_equal(
+        encode(x, m.data, 2, noise_std=0.1, rng=np.random.default_rng(3)).values, noisy.data)
+    backward(tsum(noisy))
+    g_noisy = m.grad.copy()
+    m.grad[...] = 0.0
+    backward(tsum(clean))
+    np.testing.assert_array_equal(m.grad, g_noisy)
+    with pytest.raises(ValueError, match="requires an rng"):
+        encode_tape(x, m, 2, 0.1)
 
 
 def test_encode_tape_mask_gradient():

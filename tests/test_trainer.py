@@ -16,8 +16,8 @@ import pytest
 
 from casskit.gstnet import gst_forward
 from casskit.harness import ScenarioSpec, build_experiment, run_training
-from casskit.maskmodel import NoisePrior, entropy_term
-from casskit.ndgrad import Tensor, backward
+from casskit.maskmodel import LOG_SQRT_2PIE
+from casskit.ndgrad import Tensor, backward, mul
 from casskit.optics import Mask
 from casskit.trainer import (
     REGIMES,
@@ -339,6 +339,31 @@ def test_recon_loss_needs_eps_or_rng_and_nonempty_batch():
                    masks[0], cfg)
     with pytest.raises(ValueError):
         recon_loss(state.theta, Tensor(np.zeros((6, 6))), [], masks[0], cfg)
+    with pytest.raises(ValueError, match="requires an rng"):  # noise needs its stream
+        recon_loss(state.theta, Tensor(np.zeros((6, 6))), scenes[:1], masks[0],
+                   tiny_cfg(noise_std=0.01), np.random.default_rng(0))
+
+
+def test_recon_loss_draws_measurement_noise_from_noise_rng():
+    # one N(0, noise_std^2) field per sample, drawn in the batch's order
+    cfg = tiny_cfg(noise_std=0.05)
+    state = make_state(cfg)
+    scenes, masks = tiny_problem(cfg)
+    g = Tensor(np.zeros((6, 6)))
+    eps = [np.zeros((6, 6))] * 2
+
+    def loss(c, noise_rng=None):
+        return float(recon_loss(state.theta, g, scenes[:2], masks[0], c, eps_list=eps,
+                                noise_rng=noise_rng).data)
+
+    rng = np.random.default_rng(9)
+    noisy = loss(cfg, rng)
+    assert noisy == loss(cfg, np.random.default_rng(9))
+    assert noisy != loss(tiny_cfg())
+    taken = np.random.default_rng(9)
+    taken.normal(0.0, 0.05, size=(6, 7))
+    taken.normal(0.0, 0.05, size=(6, 7))
+    assert rng.bit_generator.state == taken.bit_generator.state
 
 
 def test_total_loss_beta_zero_is_recon_object():
@@ -360,7 +385,7 @@ def test_total_loss_adds_weighted_entropy():
     g = gst_forward(masks[0], state.phi)
     total, recon, ent = total_loss(state.theta, g, scenes[:2], masks[0], cfg,
                                    eps_list=eps)
-    assert ent == pytest.approx(entropy_term(g.data), abs=1e-15)
+    assert ent == pytest.approx(np.mean(np.log(g.data)) + LOG_SQRT_2PIE, abs=1e-15)
     assert float(total.data) == pytest.approx(
         float(recon.data) + 1e-2 * ent, rel=1e-12
     )
@@ -490,12 +515,18 @@ def test_same_seed_same_trajectory():
     assert a.log == b.log
 
 
-def test_full_theta_matches_no_gst_baseline_when_masks_are_unperturbed():
-    # eps_std=0 makes every perturbed mask m' equal m, so the full model's
-    # theta epochs and the equal-budget baseline run the same arithmetic:
-    # same rate per theta epoch (the schedule halves every 2 theta epochs)
-    # and same batches and masks (phi epochs draw from their own streams).
-    cfg = tiny_cfg(eps_std=0.0, lr_halve_period=2, t_trn=2, t_val=2, rounds=3)
+def test_full_theta_matches_no_gst_baseline_when_masks_are_unperturbed(monkeypatch):
+    # Drawing through g * 0 makes every perturbed mask m' equal m (eps is
+    # still drawn), so the full model's theta epochs and the equal-budget
+    # baseline run the same arithmetic: same rate per theta epoch (the
+    # schedule halves every 2 theta epochs) and same batches and masks
+    # (phi epochs draw from their own streams).
+    from casskit import trainer
+
+    real = trainer.sample_perturbed
+    monkeypatch.setattr(trainer, "sample_perturbed",
+                        lambda m, g, eps=None, rng=None: real(m, mul(g, 0.0), eps, rng))
+    cfg = tiny_cfg(lr_halve_period=2, t_trn=2, t_val=2, rounds=3)
     exp = build_experiment(cfg, TINY_SPEC)
     full = run_training(exp, mode="full")
     base = run_training(exp, mode="no-gst")
@@ -565,7 +596,7 @@ def test_make_state_needs_positive_prior_sigma_for_gst():
     with pytest.raises(ValueError, match="prior_sigma"):
         make_state(cfg)
     assert make_state(cfg, with_gst=False).phi is None
-    NoisePrior(cfg.prior_mu, 0.0)  # a noiseless fabrication prior stays legal
+    build_experiment(cfg, TINY_SPEC)  # a noiseless fabrication prior stays legal
 
 
 def test_pretrain_loss_decreases_on_easy_problem():
@@ -613,6 +644,9 @@ def test_config_validate_errors():
         tiny_cfg(beta=-0.1).validate()
     with pytest.raises(ValueError):
         tiny_cfg(lr_halve_period=0).validate()
+    for key in ("prior_sigma", "backbone_blocks", "alpha0", "t_init", "rounds"):
+        with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
+            tiny_cfg(**{key: -1}).validate()
 
 
 # -- checkpointing ----------------------------------------------------------
@@ -719,6 +753,29 @@ def test_state_from_blobs_names_a_nonfinite_blob(prefix):
     bad[name].flat[0] = np.nan
     with pytest.raises(ValueError, match=f"{name!r} holds non-finite"):
         state_from_blobs(bad)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("meta/config", None), ("meta/counters", None), ("meta/log", None),
+    ("opt_theta/t", None), ("opt_phi/t", None), ("theta/head_w", None),
+    ("phi/out_b", None), ("opt_theta/m/head_w", None), ("opt_phi/v/out_b", None),
+    ("meta/counters", np.zeros(2)), ("opt_theta/t", np.zeros(())),
+    ("theta/head_w", "0.0"), ("opt_phi/m/out_w", "[]"),
+])
+def test_load_state_names_a_missing_or_mistyped_blob(tmp_path, name, value):
+    from casskit import io
+
+    blobs = state_blobs(make_state(tiny_cfg()))
+    assert name in blobs
+    if value is None:
+        del blobs[name]
+        want = f"lacks the '{name}' blob"
+    else:
+        want = f"blob '{name}' must be {'an array' if isinstance(value, str) else 'text'}"
+        blobs[name] = value
+    io.save_checkpoint(tmp_path / "bad.ckp", blobs)
+    with pytest.raises(ValueError, match=want):
+        load_state(tmp_path / "bad.ckp")
 
 
 def test_load_state_names_missing_rng_stream(tmp_path):
