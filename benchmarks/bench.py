@@ -1,12 +1,17 @@
 """End-to-end and per-layer timings of casskit, written to BENCH_<tag>.json.
 
-    python3 benchmarks/bench.py --tag NAME [--root DIR] [--out DIR]
+    python3 benchmarks/bench.py --tag NAME [--root DIR] [--base DIR] [--out DIR]
 
 ``--root`` is the checkout to measure (default: the one holding this
-script), so a second checkout, such as a ``git archive`` of an earlier
-commit, can be measured by the same script for a before/after pair.
-Every measurement runs in a fresh ``python3`` subprocess with one BLAS
-thread, so peak RSS belongs to that measurement alone:
+script).  ``--base`` names a second checkout, such as a ``git archive``
+of an earlier commit, for a before/after pair: each child then runs on
+both checkouts in turn, alternating which goes first, so a slow spell of
+a shared host falls on both sides.  The base side is written to
+``BENCH_<NAME>-parent.json``.  Every child runs ``REPEATS`` times per
+checkout; each numeric field is recorded as its median, min and max
+beside the raw repeats in ``runs``.  Every measurement runs in a fresh
+``python3`` subprocess with one BLAS thread, so peak RSS belongs to that
+measurement alone:
 
 - ``train_full_seed{0,1,2}``: wall time, peak RSS, minor page faults and
   system CPU seconds of one default-scale ``run_training(mode="full")``;
@@ -22,8 +27,9 @@ thread, so peak RSS belongs to that measurement alone:
 - ``layers``: per-layer figures of the seed-0 full run, read through
   ``perfbench/tracer.py``.
 
-Uses only the standard library and numpy.  Takes about four minutes on a
-2-core x86 machine, most of it the tier-1 suite.
+The tier-1 suite runs once per checkout.  Uses only the standard
+library and numpy.  Takes about four minutes per checkout on a 2-core
+x86 machine.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -41,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
+REPEATS = 3  # runs of each child per checkout
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -142,6 +150,16 @@ def _run_child(root, name):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def _summary(runs):
+    """Median, min and max of each numeric field, beside the raw runs."""
+    out = {"runs": runs}
+    for key, value in runs[0].items():
+        if isinstance(value, (int, float)):
+            vals = [r[key] for r in runs]
+            out[key] = {"median": statistics.median(vals), "min": min(vals), "max": max(vals)}
+    return out
+
+
 def _tier1(root):
     env = _env()
     env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -169,6 +187,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", help="names the output file BENCH_<tag>.json")
     ap.add_argument("--root", type=Path, default=HERE.parent, help="checkout to measure")
+    ap.add_argument("--base", type=Path, help="second checkout measured alternately with --root")
     ap.add_argument("--out", type=Path, default=HERE, help="directory for the output file")
     ap.add_argument("--child", choices=sorted(CHILDREN), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -179,16 +198,25 @@ def main(argv=None):
         return 0
     if not args.tag:
         ap.error("--tag is required")
-    result = {"tag": args.tag, "machine": _machine()}
+    sides = {args.tag: root}
+    if args.base:
+        sides[f"{args.tag}-parent"] = args.base.resolve()
+    runs = {tag: {name: [] for name in CHILDREN} for tag in sides}
     for name in CHILDREN:
-        print(f"bench: {name}", file=sys.stderr)
-        result[name] = _run_child(root, name)
-    print("bench: tier1", file=sys.stderr)
-    result["tier1"] = _tier1(root)
+        for i in range(REPEATS):
+            order = list(sides) if i % 2 else list(sides)[::-1]  # the base first on even repeats
+            for tag in order:
+                print(f"bench: {name} {i + 1}/{REPEATS} {tag}", file=sys.stderr)
+                runs[tag][name].append(_run_child(sides[tag], name))
     args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"BENCH_{args.tag}.json"
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(path)
+    for tag, side_root in sides.items():
+        result = {"tag": tag, "machine": _machine(), "repeats": REPEATS}
+        result.update({name: _summary(r) for name, r in runs[tag].items()})
+        print(f"bench: tier1 {tag}", file=sys.stderr)
+        result["tier1"] = _tier1(side_root)
+        path = args.out / f"BENCH_{tag}.json"
+        path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(path)
     return 0
 
 

@@ -83,6 +83,7 @@ def _check_resume_config(cfg, spec, state):
 
 def _cmd_train(args):
     cfg, spec = _read_config(args)
+    spec.require_evaluable()  # eval would refuse the checkpoint
     exp = harness.build_experiment(cfg, spec)
     if args.resume:
         # the checkpoint's own regime; --mode does not apply

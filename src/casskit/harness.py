@@ -128,6 +128,13 @@ class ScenarioSpec:
                 raise ValueError("many-to-many requires k_train, k_test >= 1")
         return self
 
+    def require_evaluable(self):
+        """Refuse scenes smaller than the ssim window, before any training."""
+        if min(self.scene_h, self.scene_w) < SSIM_WINDOW:
+            raise ValueError(f"scenes of {self.scene_h}x{self.scene_w} are smaller than "
+                             f"the {SSIM_WINDOW}x{SSIM_WINDOW} ssim window evaluation needs")
+        return self
+
 
 def load_config(text):
     """One flat config file -> (TrainConfig, ScenarioSpec).
@@ -304,9 +311,7 @@ def run_config_text(cfg, spec):
 
 def run_scenario(cfg, spec, out_dir=None, mode="full", fixed_g=0.0):
     """Build, train, evaluate, emit (given ``out_dir``); returns (state, report)."""
-    if min(spec.scene_h, spec.scene_w) < SSIM_WINDOW:  # refused before training
-        raise ValueError(f"scenes of {spec.scene_h}x{spec.scene_w} are smaller than "
-                         f"the {SSIM_WINDOW}x{SSIM_WINDOW} ssim window evaluation needs")
+    spec.require_evaluable()
     exp = build_experiment(cfg, spec)
     state = run_training(exp, mode=mode, fixed_g=fixed_g)
     report = evaluate(state, exp, f"{spec.kind}/{mode}")

@@ -27,9 +27,11 @@ changed in place before :func:`backward` has run.
 A sweep computes only the gradients its caller asks for:
 ``backward(root, wrt)`` marks the nodes on a path to a listed leaf, runs
 only their closures, and each closure skips the parents left unmarked.
-Gradient buffers are allocated lazily: a sweep gives fresh zeros to the
-nodes it runs, and a node no sweep reaches holds none until its ``grad``
-is read.
+An interior node's gradient buffer lives only while a sweep needs it:
+fresh zeros just before the first closure that writes into it, freed
+once its own closure has read it.  Leaves and the nodes listed in
+``wrt`` keep theirs; a node no sweep reaches holds none until its
+``grad`` is read.
 
 Finiteness is checked at the tape's edges.  Leaves reject non-finite
 data at construction; :func:`backward` checks its root, and on a
@@ -99,11 +101,12 @@ class Tensor:
     ``grad`` always has the same shape as ``data`` and accumulates
     additively during :func:`backward`.  Leaf tensors (built directly from
     data, no parents) are the gradient sinks; intermediate grads are
-    scratch space owned by the tape.  The buffer is allocated on first
-    read, or by the first sweep that runs the node, so a node no sweep
-    reaches costs none.  Leaves reject non-finite values at construction;
-    an op result is not scanned, and a NaN it produces is named at its op
-    by :func:`backward` or :func:`check_finite`.
+    scratch space a sweep allocates when it first writes them and frees
+    once their node's closure has run.  A buffer is allocated on first
+    read or when a sweep first needs it, so a node no sweep reaches costs
+    none.  Leaves reject non-finite values at construction; an op result
+    is not scanned, and a NaN it produces is named at its op by
+    :func:`backward` or :func:`check_finite`.
     """
 
     __slots__ = ("data", "_grad", "_need", "_parents", "_backward")
@@ -532,18 +535,21 @@ def backward(root, wrt=None):
 
     ``wrt`` lists the leaves whose gradients the caller reads; None means
     every leaf.  A node needs a gradient iff it is listed or one of its
-    parents needs one.  Only those nodes get a fresh zeroed buffer and
-    have their closures run, and each closure skips the parents that need
-    none, so a leaf left out of ``wrt`` keeps its grad untouched and a
-    node off every listed path is given no buffer.  Every consumer of a
-    node that needs a gradient needs one too, so the gradients computed
-    are the same terms summed in the same order as in a full sweep.
+    parents needs one.  Only those nodes have their closures run, and
+    each closure skips the parents that need none, so a leaf left out of
+    ``wrt`` keeps its grad untouched and a node off every listed path is
+    given no buffer.  Every consumer of a node that needs a gradient
+    needs one too, so the gradients computed are the same terms summed in
+    the same order as in a full sweep.
 
-    Intermediate grads are reset at the start of each sweep so repeated
-    calls on subgraphs sharing leaves accumulate cleanly in those leaves
-    without double-counting through stale interior values.  A non-finite
-    root raises :class:`FloatingPointError` naming the first op that
-    produced a non-finite value (see :func:`check_finite`).
+    An interior node's buffer is zeroed just before the first closure
+    that writes into it and dropped once the node's own closure has read
+    it (a listed node keeps it), so a sweep holds only the buffers still
+    waiting for a consumer, and repeated calls on subgraphs sharing
+    leaves accumulate in those leaves without double-counting through
+    stale interior values.  A non-finite root raises
+    :class:`FloatingPointError` naming the first op that produced a
+    non-finite value (see :func:`check_finite`).
     """
     if not isinstance(root, Tensor):
         raise TypeError("backward root must be a Tensor")
@@ -559,14 +565,19 @@ def backward(root, wrt=None):
         if not need:
             continue
         if node._backward is not None:
-            node._grad = _zeros(node.data.shape)
+            node._grad = None
             run.append(node)
         elif node._grad is None:
             node._grad = _zeros(node.data.shape)
     if root._need:
-        root._grad[...] = 1.0
+        root._grad = np.ones(root.data.shape)
     for node in reversed(run):
+        for p in node._parents:
+            if p._need and p._grad is None:
+                p._grad = _zeros(p.data.shape)
         node._backward(node._grad)
+        if want is None or id(node) not in want:
+            node._grad = None
 
 
 def zero_grad(tensors):

@@ -361,8 +361,8 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
         if lr_phi is None:
             loss = recon_loss(state.theta, g, batch, m, cfg, eps, noise_rng=noise_rng)
         else:
-            loss, _recon, ent = total_loss(state.theta, g, batch, m, cfg, eps,
-                                           noise_rng=noise_rng)
+            loss, _, ent = total_loss(state.theta, g, batch, m, cfg, eps,
+                                      noise_rng=noise_rng)
             ent_tot += ent
         backward(loss, wrt)
         for opt, lr in stepped:
@@ -370,6 +370,8 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
             opt.zero_grad()
         tot += float(loss.data)
         nb += 1
+        # these names hold the whole tape: free it before the next forward
+        loss = g = _ = None
     state.epoch += 1
     state.log.append(
         {"phase": phase, "round": rnd, "epoch": state.epoch,
@@ -498,11 +500,18 @@ def state_from_blobs(blobs):
     with_gst = any(k.startswith("phi/") for k in blobs)
     state = make_state(cfg, with_gst=with_gst)
     counters = json.loads(_blob(blobs, "meta/counters", str))
-    state.epoch = int(counters["epoch"])
-    state.round = int(counters["round"])
+    if not (isinstance(counters, dict) and all(
+            type(counters.get(k)) is int and counters[k] >= 0 for k in ("epoch", "round"))):
+        raise ValueError("checkpoint blob 'meta/counters' must be a JSON object with "
+                         f"integer epoch and round >= 0, got {counters!r}")
+    state.epoch = counters["epoch"]
+    state.round = counters["round"]
     state.log = json.loads(_blob(blobs, "meta/log", str))
     if "meta/regime" in blobs:
         state.regime = json.loads(_blob(blobs, "meta/regime", str))
+        if not isinstance(state.regime, dict):
+            raise ValueError("checkpoint blob 'meta/regime' must be a JSON object, "
+                             f"got {state.regime!r}")
     if "meta/scenario" in blobs:
         state.scenario = _blob(blobs, "meta/scenario", str)
     for role, gen in state.rngs.items():

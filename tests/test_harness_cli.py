@@ -511,7 +511,11 @@ def test_cli_train_resume_without_regime_names_the_blob(cli_env, tmp_path, capsy
 
 def test_cli_eval_names_a_missing_or_mistyped_blob(cli_env, tmp_path, capsys):
     # a damaged checkpoint is a data error (exit 2) that names the blob
-    for name, value in (("opt_theta/t", None), ("meta/counters", np.zeros(2))):
+    for name, value in (("opt_theta/t", None), ("meta/counters", np.zeros(2)),
+                        ("meta/counters", "[]"), ("meta/counters", "{}"),
+                        ("meta/counters", '{"epoch": "3", "round": 0}'),
+                        ("meta/counters", '{"epoch": -1, "round": 0}'),
+                        ("meta/regime", "[]")):
         blobs = load_checkpoint(cli_env["train"] / "checkpoint.ckp")
         if value is None:
             del blobs[name]
@@ -523,6 +527,18 @@ def test_cli_eval_names_a_missing_or_mistyped_blob(cli_env, tmp_path, capsys):
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2, name
         assert repr(name) in capsys.readouterr().err
+
+
+def test_cli_train_refuses_scenes_below_the_ssim_window(tmp_path, capsys):
+    # eval would refuse the checkpoint, so train refuses before any epoch
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(run_config_text(tiny_cfg(), tiny_spec(scene_h=8, scene_w=10)))
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "8x10" in err and "11x11 ssim window" in err
+    assert not out.exists()
 
 
 def test_cli_train_resume_rejects_another_config(cli_env, tmp_path, capsys):

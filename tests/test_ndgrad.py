@@ -87,14 +87,44 @@ def test_leaf_grads_accumulate_across_sweeps():
     np.testing.assert_allclose(x.grad, 2 * g1)
 
 
-def test_interior_grads_reset_per_sweep():
+def test_interior_grads_are_freed_after_each_sweep():
     x = Tensor(np.array([1.0, 2.0]))
     inner = mul(x, x)
-    y = tsum(inner)
-    backward(y)
-    first = inner.grad.copy()
-    backward(tsum(inner))
-    np.testing.assert_allclose(inner.grad, first)
+    root = tsum(relu(inner))
+    backward(root)
+    assert all(node._grad is None for node in nd._toposort(root) if node._parents)
+    first = x.grad.copy()
+    np.testing.assert_array_equal(first, 2.0 * x.data)
+    # a second sweep through the shared interior node starts it from zero,
+    # so the leaf receives the same gradient once more, not a stale sum
+    root = tsum(inner)
+    backward(root)
+    assert inner._grad is None and root._grad is None
+    np.testing.assert_array_equal(x.grad, 2.0 * first)
+    # a listed interior node keeps its buffer for the caller
+    backward(tsum(mul(inner, 3.0)), [x, inner])
+    np.testing.assert_array_equal(inner.grad, [3.0, 3.0])
+
+
+def test_backward_holds_only_the_gradients_awaiting_a_consumer():
+    # a sweep over a chain of 60 ops that kept every interior gradient
+    # until it ended would hold 60 operand-sized buffers at once
+    import tracemalloc
+
+    n = 4096
+    x = Tensor(RNG.standard_normal(n))
+    node = x
+    for i in range(60):
+        node = relu(node) if i % 2 else mul(node, 0.9)
+    root = tsum(node)
+    x.grad  # the leaf's own buffer is not the sweep's
+    tracemalloc.start()
+    try:
+        backward(root, [x])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n
 
 
 def test_backward_needs_scalar_root():

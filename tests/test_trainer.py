@@ -416,6 +416,32 @@ def test_loss_graph_frees_without_the_cycle_collector():
         gc.enable()
 
 
+@pytest.mark.parametrize("steps", ["theta", "phi", "both"])
+def test_epoch_frees_each_batch_tape_before_the_next_forward(monkeypatch, steps):
+    import weakref
+
+    from casskit import trainer
+
+    cfg = tiny_cfg(beta=1e-2)
+    state = make_state(cfg)
+    scenes, masks = tiny_problem(cfg)  # two batches
+    real = trainer.recon_loss
+    made = []
+
+    def recon(*args, **kw):
+        # the tape is acyclic, so a dropped one is already freed here
+        assert all(ref() is None for ref in made), "an earlier batch's tape is alive"
+        loss = real(*args, **kw)
+        made.append(weakref.ref(loss.data))
+        return loss
+
+    monkeypatch.setattr(trainer, "recon_loss", recon)
+    kw = {"theta": dict(lr_theta=1e-3, phi=state.phi), "phi": dict(lr_phi=1e-3),
+          "both": dict(lr_theta=1e-3, lr_phi=1e-3)}[steps]
+    trainer._epoch(state, scenes, masks, "train", **kw)
+    assert len(made) == 2
+
+
 # -- state, determinism, freezing -------------------------------------------
 
 def test_make_state_deterministic_per_seed():
@@ -775,6 +801,22 @@ def test_load_state_names_a_missing_or_mistyped_blob(tmp_path, name, value):
         blobs[name] = value
     io.save_checkpoint(tmp_path / "bad.ckp", blobs)
     with pytest.raises(ValueError, match=want):
+        load_state(tmp_path / "bad.ckp")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("meta/counters", "[]"), ("meta/counters", "{}"),
+    ("meta/counters", '{"epoch": "3", "round": 0}'),
+    ("meta/counters", '{"epoch": -1, "round": 0}'),
+    ("meta/regime", "[]"),
+])
+def test_load_state_checks_what_the_meta_blobs_hold(tmp_path, name, text):
+    from casskit import io
+
+    blobs = state_blobs(make_state(tiny_cfg()))
+    blobs[name] = text
+    io.save_checkpoint(tmp_path / "bad.ckp", blobs)
+    with pytest.raises(ValueError, match=f"blob '{name}' must be a JSON object"):
         load_state(tmp_path / "bad.ckp")
 
 
