@@ -27,6 +27,13 @@ measurement alone:
 - ``layers``: per-layer figures of the seed-0 full run, read through
   ``perfbench/tracer.py``.
 
+Every child also records ``reaped_cpu_s`` and ``reaped_peak_rss_mb``,
+read from ``os.wait4`` when the child is reaped: they cover the
+training helper processes the child started and reaped, which the
+child's own ``RUSAGE_SELF`` figures leave out.  The machine block
+records ``usable_cores``, the cores this process may run on, which
+sets how many helpers a training step uses.
+
 The tier-1 suite runs once per checkout.  Uses only the standard
 library and numpy.  Takes about four minutes per checkout on a 2-core
 x86 machine.
@@ -42,6 +49,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -145,9 +153,25 @@ def _env():
 
 
 def _run_child(root, name):
+    """The child's own figures, plus its CPU seconds and peak RSS as reaped.
+
+    ``os.wait4`` reports the child together with the processes it reaped
+    itself, such as training helpers: CPU seconds summed over all of them,
+    peak RSS the largest of them.
+    """
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", name, "--root", str(root)]
-    out = subprocess.run(cmd, cwd=root, env=_env(), capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=root, env=_env(), stdout=subprocess.PIPE, stderr=err)
+        out = proc.stdout.read()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            err.seek(0)
+            raise subprocess.CalledProcessError(proc.returncode, cmd, out, err.read())
+    return {**json.loads(out.decode().strip().splitlines()[-1]),
+            "reaped_cpu_s": usage.ru_utime + usage.ru_stime,
+            "reaped_peak_rss_mb": usage.ru_maxrss / 1024.0}
 
 
 def _summary(runs):
@@ -179,7 +203,8 @@ def _machine():
             cpu = next((ln.split(":", 1)[1].strip() for ln in f if ln.startswith("model name")), cpu)
     except OSError:
         pass
-    return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
+    return {"nproc": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0)),
+            "cpu": cpu, "python": platform.python_version(),
             "numpy": np.__version__, "blas_threads": 1, "platform": platform.platform()}
 
 

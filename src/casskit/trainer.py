@@ -39,6 +39,28 @@ that step only phi draw from their own ``phi_order``, ``phi_mask``,
 ``phi_eps`` and ``phi_noise``.  So the theta epochs of the full model
 see the same batches and masks as the equal-budget baseline, and the
 comparison between the two stays paired.
+
+A training step splits its batch across the cores this process may run
+on (``os.sched_getaffinity``), capped at the batch size: the batch is
+cut into contiguous chunks, this process runs the first and helper
+processes (:mod:`casskit.helpers`) run the others.  Each sample does its
+forward and backward on its own tape, seeded with 1/B, so its gradient
+terms are exactly those of the one tape :func:`recon_loss` builds.  That
+tape's sweep adds the samples' terms into every theta leaf, and into g,
+in sample order 0..B-1, and then the entropy term's.  The step adds the
+per-sample gradients in the same order (a helper returns its samples'
+gradients apart, never summed), then runs one sweep through the
+deviation network seeded with the summed dL/dg and the entropy term.  So
+every sum, and every output, is bit for bit what a single process
+computes, whatever the core count.  This process draws every eps and
+every measurement noise with the calls of the one-tape loss and in its
+order: a sample receives its eps and a copy of the noise generator taken
+before its draw, and the epoch's stream is advanced by the same draw, so
+every stream ends where a serial step leaves it.  Helpers start at the
+first step with more than one sample to split on a machine with more
+than one usable core, never at import or set-up, number at most one
+fewer than the usable cores, and live until the interpreter exits; see
+:mod:`casskit.helpers`.
 """
 
 from __future__ import annotations
@@ -52,7 +74,7 @@ from . import io
 from .backbone import SrnParams, reconstruct, srn_init
 from .gstnet import GstParams, gst_forward, gst_init
 from .maskmodel import entropy_term, sample_perturbed
-from .ndgrad import Tensor, add, backward, check_finite, mul, neg, tmean
+from .ndgrad import Tensor, add, backward, check_finite, mul, neg, tmean, tsum
 from .optics import (
     _cube_values,
     _mask_values,
@@ -198,6 +220,22 @@ class Adam(object):
             t.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
+def _sample_loss(theta, g, xv, mask, cfg, eps=None, rng=None, noise_rng=None):
+    """One Monte-Carlo sample's loss: the mean squared error over its pixels.
+
+    Draws the perturbed mask m' = clamp01(m + g * eps) (``eps`` drawn from
+    ``rng`` when not given), encodes the scene values ``xv`` through m',
+    drawing measurement noise from ``noise_rng`` when ``cfg.noise_std >
+    0``, and reconstructs from the windowed initialization.
+    """
+    m_t = sample_perturbed(mask, g, eps=eps, rng=rng)
+    y = encode_tape(xv, m_t, cfg.d, cfg.noise_std, noise_rng)
+    x_in = init_input_tape(y, m_t, cfg.d, xv.shape[2])
+    xhat = reconstruct(x_in, theta)
+    diff = add(xhat, neg(Tensor(cube_to_chw(xv))))
+    return tmean(mul(diff, diff))
+
+
 def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
                noise_rng=None):
     """Monte-Carlo reconstruction loss over one batch and one mask.
@@ -208,21 +246,17 @@ def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
     loss reaches whatever ``g`` hangs from on the tape.  ``eps_list``
     overrides the eps draws from ``rng``; with ``cfg.noise_std > 0`` each
     encode draws its measurement noise from ``noise_rng``.  The loss is
-    the mean over batch and pixels.
+    the mean over batch and pixels.  This one tape is the reference the
+    training step's per-sample sweeps reproduce bit for bit.
     """
     scenes = [_cube_values(x) for x in batch]
     if not scenes:
         raise ValueError("empty batch")
-    terms = []
-    for i, xv in enumerate(scenes):
-        eps = None if eps_list is None else eps_list[i]
-        m_t = sample_perturbed(mask, g, eps=eps, rng=rng)
-        y = encode_tape(xv, m_t, cfg.d, cfg.noise_std, noise_rng)
-        x_in = init_input_tape(y, m_t, cfg.d, xv.shape[2])
-        xhat = reconstruct(x_in, theta)
-        diff = add(xhat, neg(Tensor(cube_to_chw(xv))))
-        sq = mul(diff, diff)
-        terms.append(tmean(sq))
+    terms = [
+        _sample_loss(theta, g, xv, mask, cfg, None if eps_list is None else eps_list[i],
+                     rng, noise_rng)
+        for i, xv in enumerate(scenes)
+    ]
     acc = terms[0]
     for t in terms[1:]:
         acc = add(acc, t)
@@ -329,15 +363,22 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
 
     This is where the deviation map g of each batch is decided.  Epochs
     that step phi put ``gst_forward(m, state.phi)`` on the tape and score
-    :func:`total_loss`.  Theta-only epochs score :func:`recon_loss` with g
-    from the frozen ``phi`` taken off the tape, or else with the constant
-    spread ``fixed_g``; the frozen g is computed once per train mask and
-    phi state (:func:`_frozen_g`), not per batch.
+    the loss of :func:`total_loss`.  Theta-only epochs score the loss of
+    :func:`recon_loss` with g from the frozen ``phi`` taken off the tape,
+    or else with the constant spread ``fixed_g``; the frozen g is computed
+    once per train mask and phi state (:func:`_frozen_g`), not per batch.
     Epochs that step only phi draw batch order, mask, eps and noise from
     the ``phi_*`` streams; every other epoch draws from the theta streams.
-    Each backward sweep computes the gradients of the stepped parameters
-    alone.
+
+    Each batch's samples are swept one by one, split across the usable
+    cores (:func:`casskit.helpers.batch_backward`), against a leaf copy
+    of g.  When phi steps, the summed dL/dg then seeds one sweep through
+    the deviation network together with the beta-weighted entropy, added
+    after the samples as in :func:`total_loss`'s tape.  Each sweep
+    computes the gradients of the stepped parameters alone.
     """
+    from . import helpers  # not at import, so set-up does not compile it
+
     cfg = state.cfg
     scenes = list(scenes)
     family = "phi_" if lr_theta is None else ""
@@ -346,7 +387,8 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     )
     stepped = [(opt, lr) for opt, lr in ((state.adam_theta, lr_theta),
                                          (state.adam_phi, lr_phi)) if lr is not None]
-    wrt = [t for opt, _ in stepped for _, t in opt.named]
+    phi_wrt = [t for _, t in state.adam_phi.named] if lr_phi is not None else []
+    weight = -cfg.beta if cfg.entropy_flip else cfg.beta
     tot = 0.0
     ent_tot = 0.0
     nb = 0
@@ -354,24 +396,28 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
         m = _pick_mask(masks, pick)
         if lr_phi is not None:
             g = gst_forward(m, state.phi)
+            ent = entropy_term(g)
+            g_leaf = Tensor(g.data)  # the samples' sweeps end here, not in the network
         elif phi is not None:
-            g = _frozen_g(state, m, phi)
+            g_leaf = _frozen_g(state, m, phi)
         else:
-            g = Tensor(np.full(_mask_values(m).shape, fixed_g, dtype=np.float64))
-        if lr_phi is None:
-            loss = recon_loss(state.theta, g, batch, m, cfg, eps, noise_rng=noise_rng)
-        else:
-            loss, _, ent = total_loss(state.theta, g, batch, m, cfg, eps,
-                                      noise_rng=noise_rng)
-            ent_tot += ent
-        backward(loss, wrt)
+            g_leaf = Tensor(np.full(_mask_values(m).shape, fixed_g, dtype=np.float64))
+        loss = helpers.batch_backward(state.theta, g_leaf, batch, m, cfg, eps, noise_rng,
+                                      lr_theta is not None, lr_phi is not None)
+        if lr_phi is not None:
+            root = tsum(mul(g, Tensor(g_leaf.grad)))
+            if cfg.beta != 0.0:
+                root = add(root, mul(ent, weight))
+                loss += float(ent.data) * weight
+            backward(root, phi_wrt)
+            ent_tot += float(ent.data)
         for opt, lr in stepped:
             opt.step(lr)
             opt.zero_grad()
-        tot += float(loss.data)
+        tot += loss
         nb += 1
-        # these names hold the whole tape: free it before the next forward
-        loss = g = _ = None
+        # these names hold the deviation network's tape: free it before the next forward
+        g = g_leaf = root = ent = None
     state.epoch += 1
     state.log.append(
         {"phase": phase, "round": rnd, "epoch": state.epoch,
@@ -493,25 +539,37 @@ def state_blobs(state):
     return blobs
 
 
+def _json_blob(blobs, name, ok, want):
+    """The JSON value a text blob holds, if ``ok(value)``; else a ValueError naming it."""
+    value = json.loads(_blob(blobs, name, str))
+    if not ok(value):
+        raise ValueError(f"checkpoint blob {name!r} must be {want}, got {value!r}")
+    return value
+
+
+def _count(value):
+    return type(value) is int and value >= 0
+
+
 def state_from_blobs(blobs):
     """Rebuild a TrainState; inverse of :func:`state_blobs`."""
     cfg_items = io.parse_config(_blob(blobs, "meta/config", str))
     cfg = io.coerce_dataclass(cfg_items, TrainConfig)
     with_gst = any(k.startswith("phi/") for k in blobs)
     state = make_state(cfg, with_gst=with_gst)
-    counters = json.loads(_blob(blobs, "meta/counters", str))
-    if not (isinstance(counters, dict) and all(
-            type(counters.get(k)) is int and counters[k] >= 0 for k in ("epoch", "round"))):
-        raise ValueError("checkpoint blob 'meta/counters' must be a JSON object with "
-                         f"integer epoch and round >= 0, got {counters!r}")
+    counters = _json_blob(
+        blobs, "meta/counters",
+        lambda c: isinstance(c, dict) and all(_count(c.get(k)) for k in ("epoch", "round")),
+        "a JSON object with integer epoch and round >= 0")
     state.epoch = counters["epoch"]
     state.round = counters["round"]
-    state.log = json.loads(_blob(blobs, "meta/log", str))
+    state.log = _json_blob(blobs, "meta/log",
+                           lambda log: isinstance(log, list)
+                           and all(isinstance(row, dict) for row in log),
+                           "a JSON list of objects")
     if "meta/regime" in blobs:
-        state.regime = json.loads(_blob(blobs, "meta/regime", str))
-        if not isinstance(state.regime, dict):
-            raise ValueError("checkpoint blob 'meta/regime' must be a JSON object, "
-                             f"got {state.regime!r}")
+        state.regime = _json_blob(blobs, "meta/regime", lambda r: isinstance(r, dict),
+                                  "a JSON object")
     if "meta/scenario" in blobs:
         state.scenario = _blob(blobs, "meta/scenario", str)
     for role, gen in state.rngs.items():
@@ -523,7 +581,7 @@ def state_from_blobs(blobs):
                 raise ValueError(f"checkpoint {prefix}/{n} has shape {arr.shape}, "
                                  f"expected {t.data.shape}")
             t.data[...] = arr
-        adam.t = int(json.loads(_blob(blobs, f"opt_{prefix}/t", str)))
+        adam.t = _json_blob(blobs, f"opt_{prefix}/t", _count, "a JSON integer >= 0")
         for n, _ in adam.named:
             adam.m[n] = np.array(_blob(blobs, f"opt_{prefix}/m/{n}"))
             adam.v[n] = np.array(_blob(blobs, f"opt_{prefix}/v/{n}"))

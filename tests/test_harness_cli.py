@@ -515,7 +515,9 @@ def test_cli_eval_names_a_missing_or_mistyped_blob(cli_env, tmp_path, capsys):
                         ("meta/counters", "[]"), ("meta/counters", "{}"),
                         ("meta/counters", '{"epoch": "3", "round": 0}'),
                         ("meta/counters", '{"epoch": -1, "round": 0}'),
-                        ("meta/regime", "[]")):
+                        ("meta/regime", "[]"), ("opt_theta/t", "[]"),
+                        ("opt_theta/t", "-3"), ("opt_theta/t", "2.5"), ("opt_theta/t", '"4"'),
+                        ("meta/log", "{}"), ("meta/log", "[1]")):
         blobs = load_checkpoint(cli_env["train"] / "checkpoint.ckp")
         if value is None:
             del blobs[name]

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from casskit import helpers
 from casskit.gstnet import gst_forward
 from casskit.harness import ScenarioSpec, build_experiment, run_training
 from casskit.maskmodel import LOG_SQRT_2PIE
@@ -54,6 +55,11 @@ TINY_SPEC = ScenarioSpec(
     scene_h=6, scene_w=6, scenes_train=4, scenes_val=2, scenes_test=1,
     mask_base_h=12, mask_base_w=12, k_train=2, k_test=1, trials=1,
 )
+
+
+def in_process(monkeypatch):
+    """Run every sample of a batch in this process, where a monkeypatch is seen."""
+    monkeypatch.setattr(helpers, "usable_cores", lambda: 1)
 
 
 def tiny_problem(cfg, n_scenes=4, n_masks=2, seed=0):
@@ -277,10 +283,10 @@ def test_theta_epochs_compute_frozen_g_once_per_mask_and_phi(monkeypatch):
 
     cfg = tiny_cfg(t_init=2, t_trn=2, t_val=2, rounds=3)
     exp = build_experiment(cfg, TINY_SPEC)
-    real_gst, real_epoch, real_recon = trainer.gst_forward, trainer._epoch, trainer.recon_loss
+    real_gst, real_epoch, real_sample = trainer.gst_forward, trainer._epoch, trainer._sample_loss
     now = {}
     calls = []  # (phase, mask values, phi values) per gst_forward call
-    fed = []  # (round, mask, g) per theta-epoch loss of the rounds
+    fed = []  # (round, mask, g) per theta-epoch loss sample of the rounds
     phi_before = {}  # round -> phi as its theta epochs find it
 
     def key(params):
@@ -296,14 +302,15 @@ def test_theta_epochs_compute_frozen_g_once_per_mask_and_phi(monkeypatch):
             phi_before.setdefault(rnd, copy.deepcopy(state.phi))
         real_epoch(state, scenes, masks, phase, rnd, **kw)
 
-    def recon(theta, g, batch, mask, *args, **kw):
+    def sample(theta, g, xv, mask, *args, **kw):
         if now["phase"] == "train":
             fed.append((len(phi_before) - 1, mask, g.data.copy()))
-        return real_recon(theta, g, batch, mask, *args, **kw)
+        return real_sample(theta, g, xv, mask, *args, **kw)
 
     monkeypatch.setattr(trainer, "gst_forward", gst)
     monkeypatch.setattr(trainer, "_epoch", epoch)
-    monkeypatch.setattr(trainer, "recon_loss", recon)
+    monkeypatch.setattr(trainer, "_sample_loss", sample)
+    in_process(monkeypatch)
     run_training(exp, mode="full")
 
     theta_calls = [(m, p) for phase, m, p in calls if phase != "val"]
@@ -424,22 +431,28 @@ def test_epoch_frees_each_batch_tape_before_the_next_forward(monkeypatch, steps)
 
     cfg = tiny_cfg(beta=1e-2)
     state = make_state(cfg)
-    scenes, masks = tiny_problem(cfg)  # two batches
-    real = trainer.recon_loss
-    made = []
+    scenes, masks = tiny_problem(cfg)  # two batches of two
+    real = trainer._sample_loss
+    made = []  # each sample's loss
+    maps = []  # the deviation map each sample saw
 
-    def recon(*args, **kw):
+    def sample(theta, g, *args, **kw):
         # the tape is acyclic, so a dropped one is already freed here
-        assert all(ref() is None for ref in made), "an earlier batch's tape is alive"
-        loss = real(*args, **kw)
+        assert all(ref() is None for ref in made), "an earlier sample's tape is alive"
+        if steps != "theta":  # theta epochs reuse one frozen map per mask
+            assert all(ref() is None or ref() is g.data for ref in maps), \
+                "an earlier batch's deviation network tape is alive"
+        loss = real(theta, g, *args, **kw)
         made.append(weakref.ref(loss.data))
+        maps.append(weakref.ref(g.data))
         return loss
 
-    monkeypatch.setattr(trainer, "recon_loss", recon)
+    monkeypatch.setattr(trainer, "_sample_loss", sample)
+    in_process(monkeypatch)
     kw = {"theta": dict(lr_theta=1e-3, phi=state.phi), "phi": dict(lr_phi=1e-3),
           "both": dict(lr_theta=1e-3, lr_phi=1e-3)}[steps]
     trainer._epoch(state, scenes, masks, "train", **kw)
-    assert len(made) == 2
+    assert len(made) == 4
 
 
 # -- state, determinism, freezing -------------------------------------------
@@ -552,6 +565,7 @@ def test_full_theta_matches_no_gst_baseline_when_masks_are_unperturbed(monkeypat
     real = trainer.sample_perturbed
     monkeypatch.setattr(trainer, "sample_perturbed",
                         lambda m, g, eps=None, rng=None: real(m, mul(g, 0.0), eps, rng))
+    in_process(monkeypatch)
     cfg = tiny_cfg(lr_halve_period=2, t_trn=2, t_val=2, rounds=3)
     exp = build_experiment(cfg, TINY_SPEC)
     full = run_training(exp, mode="full")
@@ -809,6 +823,9 @@ def test_load_state_names_a_missing_or_mistyped_blob(tmp_path, name, value):
     ("meta/counters", '{"epoch": "3", "round": 0}'),
     ("meta/counters", '{"epoch": -1, "round": 0}'),
     ("meta/regime", "[]"),
+    ("opt_theta/t", "[]"), ("opt_theta/t", "-3"), ("opt_theta/t", "2.5"),
+    ("opt_theta/t", '"4"'), ("opt_phi/t", "-1"), ("opt_phi/t", "true"),
+    ("meta/log", "{}"), ("meta/log", "[1]"),
 ])
 def test_load_state_checks_what_the_meta_blobs_hold(tmp_path, name, text):
     from casskit import io
@@ -816,7 +833,8 @@ def test_load_state_checks_what_the_meta_blobs_hold(tmp_path, name, text):
     blobs = state_blobs(make_state(tiny_cfg()))
     blobs[name] = text
     io.save_checkpoint(tmp_path / "bad.ckp", blobs)
-    with pytest.raises(ValueError, match=f"blob '{name}' must be a JSON object"):
+    with pytest.raises(ValueError, match=f"blob '{name}' must be a JSON "
+                                         f"{'integer' if name.endswith('/t') else '(object|list)'}"):
         load_state(tmp_path / "bad.ckp")
 
 
