@@ -21,8 +21,12 @@ measurement alone:
   large as glibc's default mmap threshold;
 - ``evaluate``: wall time of ``evaluate`` at default scale and seed 0;
 - ``step_128x128x28``: wall time, peak RSS, minor page faults and system
-  CPU seconds of one batch-4 loss and backward at 128x128 pixels and 28
-  bands, with g from the deviation network on the tape, as in a phi step;
+  CPU seconds of one batch-4 phi step's gradients at 128x128 pixels and
+  28 bands, computed as training computes them: the batch split across
+  the usable cores (``casskit.helpers.batch_backward``, helpers started
+  before the clock), then one sweep through the deviation network; and
+  ``scratch_mb``, the MiB ``ndgrad``'s scratch store holds after it in
+  this process;
 - ``tier1``: wall time of the tier-1 test suite and its summary line;
 - ``layers``: per-layer figures of the seed-0 full run, read through
   ``perfbench/tracer.py``.
@@ -98,13 +102,35 @@ def _evaluate():
     return {"wall_s": time.perf_counter() - t0}
 
 
+def _scratch_mb():
+    """MiB of the distinct buffers behind ``ndgrad._SCRATCH``'s entries.
+
+    An entry is a buffer or a tuple of views into buffers, so the walk
+    reads both forms.
+    """
+    from casskit import ndgrad
+
+    bufs, todo = {}, list(ndgrad._SCRATCH.values())
+    while todo:
+        v = todo.pop()
+        if isinstance(v, (tuple, list)):
+            todo.extend(v)
+        elif isinstance(v, np.ndarray):
+            while v.base is not None:
+                v = v.base
+            bufs[id(v)] = v.nbytes
+    return sum(bufs.values()) / 2**20
+
+
 def _step():
+    from casskit import helpers
     from casskit.backbone import srn_init
     from casskit.gstnet import gst_forward, gst_init
     from casskit.harness import gen_synth_scenes
-    from casskit.ndgrad import backward
+    from casskit.maskmodel import entropy_term
+    from casskit.ndgrad import Tensor, add, backward, mul, tsum
     from casskit.optics import Mask
-    from casskit.trainer import TrainConfig, recon_loss
+    from casskit.trainer import TrainConfig
 
     cfg = TrainConfig(bands=28)
     rng = np.random.default_rng(0)
@@ -112,12 +138,19 @@ def _step():
     mask = Mask(rng.uniform(0.05, 0.95, (128, 128)))
     theta = srn_init(cfg.bands, cfg.backbone_channels, cfg.backbone_blocks, rng)
     phi = gst_init(cfg.gst_channels, cfg.gst_proj_channels, rng)
+    phi_wrt = [t for _, t in phi.parameters()]
+    helpers.pool(min(helpers.usable_cores(), cfg.batch) - 1)  # started before the clock, as in training
     r0 = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
-    loss = recon_loss(theta, gst_forward(mask, phi), batch, mask, cfg, rng)
-    backward(loss)
+    # one phi step's gradients, as trainer._epoch computes them
+    g = gst_forward(mask, phi)
+    ent = entropy_term(g)
+    g_leaf = Tensor(g.data)
+    helpers.batch_backward(theta, g_leaf, batch, mask, cfg, rng, rng, False, True)
+    backward(add(tsum(mul(g, Tensor(g_leaf.grad))), mul(ent, cfg.beta)), phi_wrt)
     wall = time.perf_counter() - t0
-    return {"wall_s": wall, "peak_rss_mb": _peak_rss_mb(), **_usage_since(r0)}
+    return {"wall_s": wall, "peak_rss_mb": _peak_rss_mb(), "scratch_mb": _scratch_mb(),
+            **_usage_since(r0)}
 
 
 def _layers():

@@ -81,6 +81,23 @@ def _check_resume_config(cfg, spec, state):
         )
 
 
+def _check_optics(cfg, state):
+    """Refuse to score a checkpoint under other optics than it was trained for.
+
+    ``bands`` and the dispersion step ``d`` fix what the network reads and
+    how a measurement is made.  Mask and scene keys may differ: scoring a
+    model under another instrument's masks is the deployment case.
+    """
+    keys = [k for k in ("bands", "d") if getattr(cfg, k) != getattr(state.cfg, k)]
+    if keys:
+        raise io.ConfigError(
+            "config differs from the checkpoint's in "
+            + ", ".join(f"{k} (given {getattr(cfg, k)}, checkpoint {getattr(state.cfg, k)})"
+                        for k in keys)
+            + "; a checkpoint is scored under the optics it was trained for"
+        )
+
+
 def _cmd_train(args):
     cfg, spec = _read_config(args)
     spec.require_evaluable()  # eval would refuse the checkpoint
@@ -107,6 +124,7 @@ def _cmd_train(args):
 def _cmd_eval(args):
     cfg, spec = _read_config(args)
     state = load_state(args.checkpoint)
+    _check_optics(cfg, state)
     exp = harness.build_experiment(cfg, spec)
     report = harness.evaluate(state, exp, spec.kind)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -132,6 +150,7 @@ def _cmd_ablate(args):
 def _cmd_uncertainty(args):
     cfg, spec = _read_config(args)
     state = load_state(args.checkpoint)
+    _check_optics(cfg, state)
     exp = harness.build_experiment(cfg, spec)
     maps = harness.uncertainty_maps(state, exp, out_dir=args.out_dir)
     for scene_id, (var, _mean) in enumerate(maps):

@@ -17,12 +17,16 @@ buffer larger than its operands: conv2d, for one, rebuilds its padded
 input inside the backward closure instead of keeping it from the forward.
 Each conv2d kernel is k matmuls of inner size k*C_in, one per kernel tap
 row, over a row stack of k shifted copies of the padded input, so no
-k*k times larger column matrix is built.  Its transient buffers come from
-a module-private scratch store, one buffer per (role, shape) reused
-across calls, so a training step faults in no fresh pages for them; no
-result, gradient or closure aliases a scratch buffer.  Closures read
-their operands' ``.data`` when they run, so an operand must not be
-changed in place before :func:`backward` has run.
+k*k times larger column matrix is built.  The backward lays the output
+gradient out as a row stack once: it is the input gradient's operand,
+and its window with zeros between rows is the kernel gradient's.  The
+transient buffers come from a module-private scratch store that keeps,
+per (role, 4-D shape), the buffers together with every view into them a
+call needs, made once and reused across calls.  So a training step
+faults in no fresh pages for them, and a call does only copies, matmuls
+and adds; no result, gradient or closure aliases a scratch buffer.
+Closures read their operands' ``.data`` when they run, so an operand
+must not be changed in place before :func:`backward` has run.
 
 A sweep computes only the gradients its caller asks for:
 ``backward(root, wrt)`` marks the nodes on a path to a listed leaf, runs
@@ -304,78 +308,126 @@ def matmul(a, b):
 _SCRATCH = {}
 
 
-def _scratch(role, shape):
-    """The reused transient buffer of conv2d for ``role`` at ``shape``.
+def _stack_views(k, c, hp, wp):
+    """Views into a row stack ``S`` [k, C, (H+2p)*(W+2p)], p = (k-1)/2.
 
-    One zero-filled buffer per (role, shape), made on first request and
-    kept for the life of the process, so alternating layer shapes do not
-    evict each other and no step faults in fresh pages.  A buffer's
+    ``S[j]`` is the zero-padded operand with its rows laid end to end,
+    shifted left by j columns.  Tap row i of a k x k window then reads the
+    one view ``S[:, :, i*(W+2p) : i*(W+2p) + H*(W+2p)]``: row (j, c) of
+    that ``[k*C, H*(W+2p)]`` matrix holds channel c at tap (i, j) for every
+    output pixel, and each output row carries 2p scratch columns.  Only
+    the interior of ``S[0]`` is written, always at the same places, and
+    ``S[j]`` copies ``S[0]`` from column j on, so the zero borders are
+    never written with anything but zeros and the last j columns of
+    ``S[j]`` are never written at all.  So the ``[C, H*(W+2p)]`` window of
+    ``S[0]`` that starts at the first interior pixel is the operand itself,
+    row by row, with 2p zeros between rows.
+
+    Returns the interior write view [C, H, W], the (destination, source)
+    pairs of the shifted copies, the k tap-row matrices and that window.
+    """
+    p = (k - 1) // 2
+    h, w, n = hp - 2 * p, wp - 2 * p, hp * wp
+    buf = _zeros((k, c, hp, wp))
+    flat = buf.reshape(k, c, n)
+    start = p * wp + p
+    return (
+        buf[0, :, p : p + h, p : p + w],
+        [(flat[j, :, : n - j], flat[0, :, j:]) for j in range(1, k)],
+        [flat[:, :, i * wp : i * wp + h * wp].reshape(k * c, h * wp) for i in range(k)],
+        flat[0, :, start : start + h * wp],
+    )
+
+
+def _acc_views(k, c, hp, wp):
+    """A correlation's accumulator and per-row product, and its result view.
+
+    The first two are [C, H*(W+2p)]; the view is the accumulator's
+    [C, H, W] part, without the 2p scratch columns of each row.
+    """
+    h, w = hp - k + 1, wp - k + 1
+    acc = _zeros((c, h * wp))
+    return acc, _zeros((c, h * wp)), acc.reshape(c, h, wp)[:, :, :w]
+
+
+def _rows_views(cout, cin, k, _):
+    """Tap rows of a kernel [C_out, C_in, k, k] and of its flipped transpose.
+
+    ``rows[i]`` is [C_out, k*C_in], column j*C_in + c holding tap (i, j)
+    of channel c: the forward copies the kernel into it, and the backward
+    computes the kernel gradient in it.  ``flip[i]`` is [C_in, k*C_out],
+    the same for the spatially flipped, in/out-transposed kernel the input
+    gradient correlates with.  Each comes with a view in the kernel's own
+    layout, for the copy in and the gradient's add out.
+    """
+    rows = _zeros((k, cout, k * cin))
+    flip = _zeros((k, cin, k * cout))
+    return (
+        list(rows),
+        rows.reshape(k, cout, k, cin).transpose(1, 3, 0, 2),
+        list(flip),
+        flip.reshape(k, cin, k, cout).transpose(3, 1, 0, 2)[:, :, ::-1, ::-1],
+    )
+
+
+_BUILD = {"stack": _stack_views, "gstack": _stack_views, "acc": _acc_views, "rows": _rows_views}
+
+
+def _views(role, shape):
+    """The views into conv2d's scratch buffers for ``role`` at a 4-D ``shape``.
+
+    ``shape`` is (k, C, H+2p, W+2p) for a row stack (``stack`` for the
+    input, ``gstack`` for the output gradient, apart because the kernel
+    gradient reads both at once) and for a correlation's accumulator
+    (``acc``, C its output channels), and the kernel's shape for its tap
+    rows (``rows``).  The buffers and every view a call needs are made on
+    the first request and kept for the life of the process, so alternating
+    layer shapes do not evict each other, no step faults in fresh pages,
+    and a call does only copies, matmuls and adds.  The key is 4-D because
+    a flat length would alias (H, W) = (6, 5) with (5, 6).  A buffer's
     contents are valid only until the next request for the same key, so
     nothing a closure holds, and nothing an op returns or leaves in a
     gradient, may alias one.
     """
     key = (role, shape)
-    buf = _SCRATCH.get(key)
-    if buf is None:
-        buf = _SCRATCH[key] = _zeros(shape)
-    return buf
+    views = _SCRATCH.get(key)
+    if views is None:
+        views = _SCRATCH[key] = _BUILD[role](*shape)
+    return views
 
 
-def _row_stack(a, k):
-    """[C, H, W] -> row stack [k, C, (H+2p)*(W+2p)], p = (k-1)/2, in scratch.
+def _fill(role, a, k):
+    """Lay [C, H, W] ``a`` out as ``role``'s row stack: (its tap rows, its window).
 
-    ``S[j]`` is the zero-padded input with its rows laid end to end,
-    shifted left by j columns.  Tap row i of a k x k window then reads the
-    one view ``S[:, :, i*(W+2p) : i*(W+2p) + H*(W+2p)]``: row (j, c) of
-    that ``[k*C, H*(W+2p)]`` matrix holds channel c at tap (i, j) for every
-    output pixel, and each output row carries 2p scratch columns.  Only
-    the interior of ``S[0]`` is written, always at the same places for a
-    given buffer, and ``S[j]`` copies ``S[0]`` from column j on, so the
-    zero borders are never written with anything but zeros and the last
-    j columns of ``S[j]`` are never written at all.  With k = 1 this is a
-    view of ``a``.
+    See :func:`_stack_views`.  With k = 1 both are a view of ``a`` itself,
+    and nothing is copied.
     """
     c, h, w = a.shape
     if k == 1:
-        return a.reshape(1, c, h * w)
-    p = (k - 1) // 2
-    hp, wp = h + 2 * p, w + 2 * p
-    n = hp * wp
-    stack = _scratch("stack", (k, c, hp, wp)).reshape(k, c, n)
-    stack[0, :, p * wp + p : p * wp + p + h * wp].reshape(c, h, wp)[:, :, :w] = a
-    for j in range(1, k):
-        stack[j, :, : n - j] = stack[0, :, j:]
-    return stack
+        flat = a.reshape(c, h * w)
+        return [flat], flat
+    interior, shifts, taps, window = _views(role, (k, c, h + k - 1, w + k - 1))
+    np.copyto(interior, a)
+    for dst, src in shifts:
+        np.copyto(dst, src)
+    return taps, window
 
 
-def _tap_row(stack, i, k, h, wp):
-    # [k, C, L] -> the [k*C, H*(W+2p)] window of tap row i; strides stay
-    # uniform, so this is a view BLAS reads with a leading dimension of L
-    return stack[:, :, i * wp : i * wp + h * wp].reshape(k * stack.shape[1], h * wp)
+def _correlate(rows, taps, shape, bias=None):
+    """The sum over tap rows i of ``rows[i] @ taps[i]``, as a [C, H, W] view of scratch.
 
-
-def _shifted_correlate(a, rows):
-    """Same-padded correlation of [C, H, W] with tap rows [k, C_out, k*C].
-
-    ``rows[i]`` holds tap row i of the kernel with column j*C + c for tap
-    (i, j) of channel c.  The correlation is k matmuls of inner size k*C,
-    one per tap row, over :func:`_row_stack`'s view, summed in a scratch
-    accumulator.  Returns a [C_out, H, W] view of scratch: the caller must
-    copy or add it out before the next conv2d kernel runs.
+    ``shape`` keys the accumulator (see :func:`_views`).  A ``bias`` [C]
+    is added last, over the contiguous accumulator.  The caller must copy
+    or add the result out before the next correlation of that shape.
     """
-    c, h, w = a.shape
-    k, cout = rows.shape[:2]
-    wp = w + k - 1
-    n = h * wp
-    stack = _row_stack(a, k)
-    acc = _scratch("acc", (cout, n))
-    np.matmul(rows[0], _tap_row(stack, 0, k, h, wp), out=acc)
-    if k > 1:
-        prod = _scratch("prod", (cout, n))
-        for i in range(1, k):
-            np.matmul(rows[i], _tap_row(stack, i, k, h, wp), out=prod)
-            acc += prod
-    return acc.reshape(cout, h, wp)[:, :, :w]
+    acc, prod, out = _views("acc", shape)
+    np.matmul(rows[0], taps[0], out=acc)
+    for r, t in zip(rows[1:], taps[1:]):
+        np.matmul(r, t, out=prod)
+        acc += prod
+    if bias is not None:
+        acc += bias[:, None]
+    return out
 
 
 def conv2d(x, kernel, bias):
@@ -384,20 +436,18 @@ def conv2d(x, kernel, bias):
     x is [C_in, H, W], kernel [C_out, C_in, k, k] with k odd, bias [C_out].
     Output is [C_out, H, W].  The forward is k matmuls of inner size
     k*C_in, one per tap row, over a row stack of k shifted copies of the
-    zero-padded input (see :func:`_row_stack`), so it never builds the k*k
-    times larger column matrix, and neither does the backward.  The row
-    stack, the zero-laid output gradient, the per-row product and the
-    pre-bias accumulator are reused scratch buffers, one per (role,
-    shape), never aliased by a result, a gradient or a closure.
+    zero-padded input (see :func:`_stack_views`), so it never builds the
+    k*k times larger column matrix, and neither does the backward.
 
     The closure holds only the three operands and reads their ``.data``
     when it runs, so no operand may be changed in place between forward
     and backward (casskit steps its optimizers only after
-    :func:`backward`).  The kernel gradient of tap row i is one matmul of
-    the output gradient, laid out with zeros in the scratch columns,
-    against the same row-stack view the forward reads; the input gradient
-    is a shifted correlation of the output gradient with the spatially
-    flipped, in/out-transposed kernel.
+    :func:`backward`).  The backward lays the output gradient out once as
+    a row stack.  The input gradient correlates that stack with the
+    spatially flipped, in/out-transposed kernel, and the stack's window,
+    the gradient with zeros in the scratch columns, is the left operand
+    of the kernel gradient's matmul per tap row, against the same tap rows
+    of the input's stack that the forward reads.
     """
     for t in (x, kernel, bias):
         if not isinstance(t, Tensor):
@@ -406,39 +456,38 @@ def conv2d(x, kernel, bias):
         raise ShapeError(f"conv2d input must be [C,H,W], got {x.data.shape}")
     if kernel.data.ndim != 4:
         raise ShapeError(f"conv2d kernel must be [Cout,Cin,k,k], got {kernel.data.shape}")
-    cout, cin_k, kh, kw = kernel.data.shape
+    cout, cin_k, k, kw = kernel.data.shape
     cin, h, w = x.data.shape
-    if kh != kw:
-        raise ShapeError(f"conv2d kernel must be square, got {kh}x{kw}")
-    if kh % 2 == 0:
-        raise ShapeError(f"conv2d kernel size must be odd, got {kh}")
+    if k != kw:
+        raise ShapeError(f"conv2d kernel must be square, got {k}x{kw}")
+    if k % 2 == 0:
+        raise ShapeError(f"conv2d kernel size must be odd, got {k}")
     if cin_k != cin:
         raise ShapeError(f"conv2d: input has {cin} channels, kernel expects {cin_k}")
     if bias.data.shape != (cout,):
         raise ShapeError(f"conv2d bias must be [{cout}], got {bias.data.shape}")
+    hp, wp = h + k - 1, w + k - 1
 
-    rows = kernel.data.transpose(2, 0, 3, 1).reshape(kh, cout, kh * cin)
-    val = _shifted_correlate(x.data, rows) + bias.data[:, None, None]
+    rows, rows_k, _, _ = _views("rows", kernel.data.shape)
+    np.copyto(rows_k, kernel.data)
+    taps, _ = _fill("stack", x.data, k)
+    val = _correlate(rows, taps, (k, cout, hp, wp), bias.data).copy()
 
     def _bw(g):
         if bias._need:
             bias._grad += g.reshape(cout, h * w).sum(axis=1)
+        if not (kernel._need or x._need):
+            return
+        gtaps, gz = _fill("gstack", g, k)
+        rows, rows_k, flip, flip_k = _views("rows", kernel.data.shape)
         if kernel._need:
-            wp = w + kh - 1
-            gz = g.reshape(cout, h * w)
-            if kh > 1:
-                gz = _scratch("gz", (cout, h, wp))
-                gz[:, :, :w] = g
-                gz[:, :, w:] = 0.0  # the buffer may serve another kernel size
-                gz = gz.reshape(cout, h * wp)
-            stack = _row_stack(x.data, kh)
-            gk = np.empty((kh, cout, kh * cin))
-            for i in range(kh):
-                np.matmul(gz, _tap_row(stack, i, kh, h, wp).T, out=gk[i])
-            kernel._grad += gk.reshape(kh, cout, kh, cin).transpose(1, 3, 0, 2)
+            xtaps, _ = _fill("stack", x.data, k)
+            for r, t in zip(rows, xtaps):
+                np.matmul(gz, t.T, out=r)
+            kernel._grad += rows_k
         if x._need:
-            flipped = kernel.data[:, :, ::-1, ::-1].transpose(2, 1, 3, 0)
-            x._grad += _shifted_correlate(g, flipped.reshape(kh, cin, kh * cout))
+            np.copyto(flip_k, kernel.data)
+            x._grad += _correlate(flip, gtaps, (k, cin, hp, wp))
 
     return Tensor(val, (x, kernel, bias), _bw)
 

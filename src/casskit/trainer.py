@@ -183,8 +183,20 @@ def lr_schedule(base, epoch, period=50):
     return base * 0.5 ** (epoch // period)
 
 
+# parameter count -> (gradients, update), the flat temporaries of every
+# Adam over that many values.  Shared rather than per optimizer, because
+# a process may keep many trained states alive at once.
+_ADAM_SCRATCH = {}
+
+
 class Adam(object):
-    """Adam over named parameter tensors; reads grads in place."""
+    """Adam over named parameter tensors; reads grads in place.
+
+    The moments of all parameters are two flat vectors; ``m[name]`` and
+    ``v[name]`` are views into them in the parameter's shape.  A step
+    gathers the gradients into one flat vector and updates every
+    parameter in one pass of whole-vector operations.
+    """
 
     def __init__(self, named_params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.named = list(named_params)
@@ -192,8 +204,19 @@ class Adam(object):
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in self.named}
-        self.v = {n: np.zeros_like(t.data) for n, t in self.named}
+        ends = np.cumsum([t.data.size for _, t in self.named]).tolist()
+        spans = [(n, t, a, b) for (n, t), a, b in zip(self.named, [0] + ends, ends)]
+        total = ends[-1] if ends else 0
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
+        self.m = {n: self._m[a:b].reshape(t.data.shape) for n, t, a, b in spans}
+        self.v = {n: self._v[a:b].reshape(t.data.shape) for n, t, a, b in spans}
+        if total not in _ADAM_SCRATCH:
+            _ADAM_SCRATCH[total] = (np.empty(total), np.empty(total))
+        self._scratch = grads, upd = _ADAM_SCRATCH[total]
+        # (name, parameter, its slice of the gradients, of the update)
+        self._parts = [(n, t, grads[a:b].reshape(t.data.shape), upd[a:b].reshape(t.data.shape))
+                       for n, t, a, b in spans]
 
     def zero_grad(self):
         for _, t in self.named:
@@ -202,22 +225,35 @@ class Adam(object):
     def step(self, lr):
         # every gradient is checked before any state moves, so a diverged
         # step leaves parameters, moments and t as they were
-        for n, t in self.named:
-            if not np.all(np.isfinite(t.grad)):
-                raise TrainingDiverged(
-                    f"non-finite gradient in {n!r} at optimizer step {self.t + 1}")
+        grads, upd = self._scratch
+        for _, t, gv, _ in self._parts:
+            np.copyto(gv, t.grad)
+        if not np.all(np.isfinite(grads)):
+            n = next(n for n, _, gv, _ in self._parts if not np.all(np.isfinite(gv)))
+            raise TrainingDiverged(
+                f"non-finite gradient in {n!r} at optimizer step {self.t + 1}")
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for n, t in self.named:
-            g = t.grad
-            m = self.m[n]
-            v = self.v[n]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            t.data -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v = self._m, self._v
+        # lr * (m / c1) / (sqrt(v / c2) + eps), one ufunc at a time in the order
+        # the per-array expression evaluates, so every value is bit for bit the same
+        m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=upd)
+        m += upd
+        v *= self.beta2
+        np.multiply(grads, 1.0 - self.beta2, out=upd)
+        upd *= grads
+        v += upd
+        np.divide(m, c1, out=upd)
+        upd *= lr
+        den = grads  # the gradients are spent
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        upd /= den
+        for _, t, _, uv in self._parts:
+            t.data -= uv
 
 
 def _sample_loss(theta, g, xv, mask, cfg, eps=None, rng=None, noise_rng=None):
@@ -440,6 +476,9 @@ def train_regime(state, train_scenes, val_scenes, masks):
     Phi's rate is scheduled on the shared ``state.epoch``, which counts
     every epoch of both kinds.  The controls schedule every rate on
     ``state.epoch``, which there counts only theta epochs.
+
+    The returned state's parameters hold no gradient buffers: they are
+    made again, as zeros, when a step next needs them.
     """
     if state.regime is None:
         raise ValueError(
@@ -485,6 +524,9 @@ def train_regime(state, train_scenes, val_scenes, masks):
         while state.epoch < budget:
             _epoch(state, train_scenes, masks, "baseline",
                    lr_theta=lr(cfg.alpha1, state.epoch), fixed_g=g0)
+    for _, params, _ in _networks(state):
+        for _, t in params.parameters():
+            t.grad = None  # all zeros after the last step; the next sweep makes them again
     return state
 
 
@@ -551,6 +593,14 @@ def _count(value):
     return type(value) is int and value >= 0
 
 
+def _load_into(dest, blobs, name):
+    """Copy the array blob ``name`` into ``dest``, whose shape it must have."""
+    arr = _blob(blobs, name)
+    if arr.shape != dest.shape:
+        raise ValueError(f"checkpoint {name} has shape {arr.shape}, expected {dest.shape}")
+    dest[...] = arr
+
+
 def state_from_blobs(blobs):
     """Rebuild a TrainState; inverse of :func:`state_blobs`."""
     cfg_items = io.parse_config(_blob(blobs, "meta/config", str))
@@ -576,15 +626,11 @@ def state_from_blobs(blobs):
         gen.bit_generator.state = json.loads(_blob(blobs, f"meta/rng/{role}", str))
     for prefix, params, adam in _networks(state):
         for n, t in params.parameters():
-            arr = _blob(blobs, f"{prefix}/{n}")
-            if arr.shape != t.data.shape:
-                raise ValueError(f"checkpoint {prefix}/{n} has shape {arr.shape}, "
-                                 f"expected {t.data.shape}")
-            t.data[...] = arr
+            _load_into(t.data, blobs, f"{prefix}/{n}")
         adam.t = _json_blob(blobs, f"opt_{prefix}/t", _count, "a JSON integer >= 0")
         for n, _ in adam.named:
-            adam.m[n] = np.array(_blob(blobs, f"opt_{prefix}/m/{n}"))
-            adam.v[n] = np.array(_blob(blobs, f"opt_{prefix}/v/{n}"))
+            for kind, moments in (("m", adam.m), ("v", adam.v)):
+                _load_into(moments[n], blobs, f"opt_{prefix}/{kind}/{n}")
     return state
 
 

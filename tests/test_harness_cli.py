@@ -531,6 +531,24 @@ def test_cli_eval_names_a_missing_or_mistyped_blob(cli_env, tmp_path, capsys):
         assert repr(name) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "uncertainty"])
+def test_cli_scores_a_checkpoint_only_under_its_own_optics(cli_env, tmp_path, capsys, command):
+    ckpt = str(cli_env["train"] / "checkpoint.ckp")
+    for kw, want in (({"d": 2}, "d (given 2, checkpoint 1)"),
+                     ({"bands": 3}, "bands (given 3, checkpoint 2)")):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(run_config_text(tiny_cfg(seed=5, **kw), cli_env["spec"]))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg), "--checkpoint", ckpt, "--out-dir", str(out)])
+        assert rc == 2, kw
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+    # other masks are the deployment case and are scored
+    cfg.write_text(run_config_text(tiny_cfg(seed=5), tiny_spec(mask_density=0.3)))
+    assert main([command, "--config", str(cfg), "--checkpoint", ckpt,
+                 "--out-dir", str(tmp_path / "ok")]) == 0
+
+
 def test_cli_train_refuses_scenes_below_the_ssim_window(tmp_path, capsys):
     # eval would refuse the checkpoint, so train refuses before any epoch
     cfg = tmp_path / "small.cfg"

@@ -407,10 +407,10 @@ def test_conv2d_backward_holds_no_array_larger_than_its_input(k):
 
 # -- conv2d's scratch store ---------------------------------------------------
 
-# (C_in, C_out, k, H, W), all non-square.  The first two share the zero-laid
-# output gradient's buffer shape (3, 7, 8) at different kernel sizes; the
-# 5x8 and 8x5 inputs pad to row stacks of the same size but different
-# borders; the last repeats the first, so its keys are reused.
+# (C_in, C_out, k, H, W), all non-square.  The first two have accumulators
+# of one size, [3, 7*8], at different kernel sizes; the 5x8 and 8x5 inputs
+# pad to row stacks of the same size but different borders; the last
+# repeats the first, so its keys are reused.
 SCRATCH_SHAPES = [
     (1, 3, 3, 7, 6),
     (16, 3, 5, 7, 4),
@@ -439,10 +439,24 @@ def _interleaved_convs():
 
 def _recording_scratch(monkeypatch):
     seen = set()
-    take = nd._scratch
+    take = nd._views
     monkeypatch.setattr(nd, "_SCRATCH", {})
-    monkeypatch.setattr(nd, "_scratch", lambda role, shape: seen.add((role, shape)) or take(role, shape))
+    monkeypatch.setattr(nd, "_views", lambda role, shape: seen.add((role, shape)) or take(role, shape))
     return seen
+
+
+def _buffers(views):
+    """The distinct buffers behind a set of cached views, by id."""
+    stack, out = [views], {}
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif isinstance(v, np.ndarray):
+            while v.base is not None:
+                v = v.base
+            out[id(v)] = v
+    return out
 
 
 def test_conv2d_interleaved_shapes_match_naive(monkeypatch):
@@ -464,7 +478,7 @@ def test_conv2d_results_and_closures_never_alias_scratch(monkeypatch):
         for cell in out._backward.__closure__:
             v = cell.cell_contents
             held += [v.data] if isinstance(v, Tensor) else [v] if isinstance(v, np.ndarray) else []
-    scratch = list(nd._SCRATCH.values())
+    scratch = list(_buffers(list(nd._SCRATCH.values())).values())
     assert scratch
     for arr in held:
         assert not any(np.shares_memory(arr, buf) for buf in scratch)
@@ -473,17 +487,61 @@ def test_conv2d_results_and_closures_never_alias_scratch(monkeypatch):
 def test_conv2d_scratch_holds_one_buffer_per_role_and_shape(monkeypatch):
     seen = _recording_scratch(monkeypatch)
     first = [(out.data, x.grad, kern.grad) for x, kern, _, _, out in _interleaved_convs()]
-    bufs = dict(nd._SCRATCH)
-    assert set(bufs) == seen
-    assert all(buf.shape == shape for (_, shape), buf in bufs.items())
-    # a second round reuses every buffer and, its zero borders untouched,
+    views = dict(nd._SCRATCH)
+    assert set(views) == seen
+    assert all(len(shape) == 4 for _, shape in views)
+    for (role, shape), v in views.items():
+        if role in ("stack", "gstack"):
+            assert [b.shape for b in _buffers(v).values()] == [shape]
+    # no two keys share a buffer
+    owned = [set(_buffers(v)) for v in views.values()]
+    assert len(set().union(*owned)) == sum(map(len, owned))
+    # a second round reuses every view and, its zero borders untouched,
     # gives bit-identical results
     again = [(out.data, x.grad, kern.grad) for x, kern, _, _, out in _interleaved_convs()]
-    assert nd._SCRATCH.keys() == bufs.keys()
-    assert all(nd._SCRATCH[key] is buf for key, buf in bufs.items())
+    assert nd._SCRATCH.keys() == views.keys()
+    assert all(nd._SCRATCH[key] is v for key, v in views.items())
     for a, b in zip(first, again):
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
+
+
+def _conv_round(shapes, fresh_at=()):
+    """Forward and backward of one conv per (H, W, k); every result, in order.
+
+    The scratch store is emptied before the calls whose index is in
+    ``fresh_at``, as a process would find it after replacing it.
+    """
+    rng = np.random.default_rng(5)
+    got = []
+    for i, (h, w, k) in enumerate(shapes):
+        if i in fresh_at:
+            nd._SCRATCH = {}
+        x = Tensor(rng.normal(size=(3, h, w)))
+        kern = Tensor(rng.normal(size=(4, 3, k, k)))
+        b = Tensor(rng.normal(size=4))
+        gout = rng.normal(size=(4, h, w))
+        out = conv2d(x, kern, b)
+        backward(tsum(mul(out, Tensor(gout))))
+        got.append((x.data, kern.data, b.data, gout, out.data, x.grad, kern.grad, b.grad))
+    return got
+
+
+def test_conv2d_cached_views_follow_alternating_shapes(monkeypatch):
+    # (6, 5) and (5, 6) pad to stacks of one flat length: views keyed on
+    # that length would copy one into the other's layout
+    monkeypatch.setattr(nd, "_SCRATCH", {})
+    shapes = [(h, w, k) for _ in range(2) for k in (1, 3, 5) for h, w in ((6, 5), (5, 6))]
+    cached = _conv_round(shapes, fresh_at=(len(shapes) // 2,))
+    fresh = _conv_round(shapes, fresh_at=range(len(shapes)))
+    for (h, w, k), row, ref in zip(shapes, cached, fresh):
+        for u, v in zip(row, ref):
+            assert np.array_equal(u, v)
+        x, kern, b, gout, out, gx, gk, gb = row
+        np.testing.assert_allclose(out, naive_conv2d(x, kern, b), atol=1e-12)
+        np.testing.assert_allclose(gx, naive_conv2d_adjoint(gout, kern, x.shape), atol=1e-12)
+        np.testing.assert_allclose(gk, naive_conv2d_kernel_adjoint(gout, x, k), atol=1e-12)
+        np.testing.assert_allclose(gb, gout.sum(axis=(1, 2)), atol=1e-12)
 
 
 # -- gradients for a chosen set of leaves -----------------------------------

@@ -10,11 +10,12 @@ import dataclasses
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from casskit import helpers
+from casskit import helpers, trainer
 from casskit.gstnet import gst_forward
 from casskit.harness import ScenarioSpec, build_experiment, run_training
 from casskit.maskmodel import LOG_SQRT_2PIE
@@ -239,6 +240,74 @@ def test_adam_diverged_step_touches_no_state():
     for n in ("a", "b"):
         assert np.array_equal(opt.m[n], [0.0])
         assert np.array_equal(opt.v[n], [0.0])
+
+
+def _adam_per_array(named, grads_per_step, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as one update per parameter array: the reference for the flat step."""
+    data = {n: t.data.copy() for n, t in named}
+    m = {n: np.zeros_like(a) for n, a in data.items()}
+    v = {n: np.zeros_like(a) for n, a in data.items()}
+    for step, (grads, lr) in enumerate(zip(grads_per_step, lrs), start=1):
+        c1 = 1.0 - beta1**step
+        c2 = 1.0 - beta2**step
+        for n, g in grads.items():
+            m[n] *= beta1
+            m[n] += (1.0 - beta1) * g
+            v[n] *= beta2
+            v[n] += (1.0 - beta2) * g * g
+            data[n] -= lr * (m[n] / c1) / (np.sqrt(v[n] / c2) + eps)
+    return data, m, v
+
+
+def test_adam_step_matches_the_per_array_formula_bitwise():
+    rng = np.random.default_rng(8)
+    named = [("w", Tensor(rng.normal(size=(3, 2, 3, 3)))), ("b", Tensor(rng.normal(size=3))),
+             ("s", Tensor(rng.normal(size=(1,))))]
+    steps = [{n: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=t.data.shape)
+              for n, t in named} for _ in range(5)]
+    lrs = [1e-3, 1e-3, 4e-4, 0.0, 2e-3]
+    data, m, v = _adam_per_array(named, steps, lrs)
+    opt = Adam(named)
+    for grads, lr in zip(steps, lrs):
+        for n, t in named:
+            t.grad[...] = grads[n]
+        opt.step(lr)
+        opt.zero_grad()
+    assert opt.t == len(steps)
+    for n, t in named:
+        assert t.data.tobytes() == data[n].tobytes(), n
+        assert opt.m[n].tobytes() == m[n].tobytes(), n
+        assert opt.v[n].tobytes() == v[n].tobytes(), n
+
+
+def test_adam_diverged_step_after_steps_names_the_parameter_and_moves_nothing():
+    rng = np.random.default_rng(9)
+    named = [(n, Tensor(rng.normal(size=s))) for n, s in (("a", (2, 3)), ("b", (4,)), ("c", (2,)))]
+    opt = Adam(named)
+    for _ in range(3):
+        for _, t in named:
+            t.grad[...] = rng.normal(size=t.data.shape)
+        opt.step(1e-2)
+    before = ([t.data.copy() for _, t in named], {n: opt.m[n].copy() for n, _ in named},
+              {n: opt.v[n].copy() for n, _ in named})
+    for _, t in named:
+        t.grad[...] = 1.0
+    named[1][1].grad[2] = np.nan
+    named[2][1].grad[0] = -np.inf
+    with pytest.raises(TrainingDiverged, match="non-finite gradient in 'b' at optimizer step 4"):
+        opt.step(1e-2)
+    assert opt.t == 3
+    for a, (n, t) in zip(before[0], named):
+        assert np.array_equal(a, t.data), n
+        assert np.array_equal(before[1][n], opt.m[n]), n
+        assert np.array_equal(before[2][n], opt.v[n]), n
+
+
+def test_a_trained_state_holds_no_gradient_buffers():
+    for mode in ("full", "no-gst"):
+        state = run_training(build_experiment(tiny_cfg(rounds=1), TINY_SPEC), mode=mode)
+        nets = [state.theta] + ([state.phi] if state.phi is not None else [])
+        assert all(t._grad is None for net in nets for _, t in net.parameters()), mode
 
 
 # -- losses -----------------------------------------------------------------
@@ -522,7 +591,7 @@ def test_theta_frozen_during_phi_steps():
         assert np.array_equal(a, t.data)
 
 
-def test_phi_epochs_leave_theta_grads_and_values_alone():
+def test_phi_epochs_leave_theta_grads_and_values_alone(monkeypatch):
     # a phi-only sweep asks for phi's gradients alone: theta's grads are
     # neither computed nor zeroed there
     cfg = tiny_cfg(t_init=0, t_trn=0, t_val=2)
@@ -534,12 +603,22 @@ def test_phi_epochs_leave_theta_grads_and_values_alone():
         t.grad[...] = 7.0
     theta_before = [t.data.copy() for _, t in state.theta.parameters()]
     phi_before = [t.data.copy() for _, t in state.phi.parameters()]
+    grads_after_epochs = []
+    run_epoch = trainer._epoch
+
+    def epoch(st, *args, **kwargs):
+        run_epoch(st, *args, **kwargs)
+        grads_after_epochs.append([t.grad.copy() for _, t in st.theta.parameters()])
+
+    monkeypatch.setattr(trainer, "_epoch", epoch)
     train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
     assert [row["phase"] for row in state.log] == ["val", "val"]
     assert state.adam_theta.t == 0 and state.adam_phi.t > 0
+    assert len(grads_after_epochs) == 2
     for a, (_, t) in zip(theta_before, state.theta.parameters()):
         assert np.array_equal(a, t.data)
-        assert np.all(t.grad == 7.0)
+    for grads in grads_after_epochs:
+        assert all(np.all(g == 7.0) for g in grads)
     assert any(not np.array_equal(a, t.data)
                for a, (_, t) in zip(phi_before, state.phi.parameters()))
 
@@ -815,6 +894,22 @@ def test_load_state_names_a_missing_or_mistyped_blob(tmp_path, name, value):
         blobs[name] = value
     io.save_checkpoint(tmp_path / "bad.ckp", blobs)
     with pytest.raises(ValueError, match=want):
+        load_state(tmp_path / "bad.ckp")
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("opt_theta/m/head_b", (3,)), ("opt_theta/v/tail_w", (2, 2)),
+    ("opt_phi/m/out_w", (1,)),  # would broadcast into any shape
+])
+def test_load_state_checks_the_shape_of_each_moment_blob(tmp_path, name, shape):
+    from casskit import io
+
+    blobs = state_blobs(make_state(tiny_cfg()))
+    want = blobs[name].shape
+    blobs[name] = np.zeros(shape)
+    io.save_checkpoint(tmp_path / "bad.ckp", blobs)
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {name} has shape {shape}, "
+                                                   f"expected {want}")):
         load_state(tmp_path / "bad.ckp")
 
 
