@@ -14,8 +14,10 @@ single-loop optimization of both networks on the training scenes),
 ``fixed-variance`` (constant perturbation spread instead of the learned
 map), and ``prior-study`` (full method under each fabrication-error prior
 of ``_STUDY_PRIORS``, set through ``prior_mu`` and ``prior_sigma``).
-Every variant is one :func:`run_scenario` on its own config, so its
-``config.txt`` rebuilds it.  The harness holds no training loop:
+Every variant is one :func:`run_scenario` on its own config.  Its
+``config.txt`` holds the config and the scenario, but not the regime:
+the mode, and a ``fixed-variance`` spread, live only in the
+checkpoint's ``meta/regime`` blob.  The harness holds no training loop:
 ``run_training`` makes a fresh state, records its regime, and hands it
 to :func:`casskit.trainer.train_regime`; every control gets the full
 method's theta budget.  Reports land as deterministic CSV files,
@@ -32,18 +34,24 @@ import numpy as np
 from . import io
 from .backbone import srn_init
 from .gstnet import gst_forward, gst_init
-from .maskmodel import MaskSet, build_mask_sets, realize_mask, synthesize_clean_mask
+from .maskmodel import (
+    MaskSet,
+    build_mask_sets,
+    entropy_term,
+    realize_mask,
+    synthesize_clean_mask,
+)
 from .metrics import SSIM_WINDOW, TrialReport, epistemic_map, psnr, ssim
-from .ndgrad import Tensor, grad_check, tsum
+from .ndgrad import Tensor, add, grad_check, mul, tsum
 from .optics import HsiCube, Mask, encode
 from .trainer import (
     REGIMES,
     TrainConfig,
     config_text,
     make_state,
+    recon_loss,
     reconstruct_scene,
     save_state,
-    total_loss,
     train_regime,
 )
 
@@ -236,8 +244,8 @@ def run_training(exp, mode="full", fixed_g=0.0):
     """Train on an experiment bundle under one regime; returns the state.
 
     Modes: "full" (pretrain + alternating bilevel), "no-gst" (the constant
-    spread 0), "no-bilevel", "fixed-variance" (uses ``fixed_g``),
-    "untrained" (fresh weights only).
+    spread 0), "no-bilevel", "fixed-variance" (uses ``fixed_g``, a finite
+    spread >= 0), "untrained" (fresh weights only).
     Epoch budgets of the controls match the full method's theta budget.
     The regime and the scenario are recorded in the state, so its
     checkpoint resumes in the one and can be checked against the other.
@@ -495,11 +503,10 @@ def _end_to_end_check(h=1e-5):
     params = [t for _, t in theta.parameters()] + [t for _, t in phi.parameters()]
 
     def builder(_ps):
-        total, _recon, _ent = total_loss(
-            theta, gst_forward(mask, phi), scenes, mask, cfg, eps_list=eps_list,
-            noise_rng=np.random.default_rng(13),
-        )
-        return total
+        g = gst_forward(mask, phi)
+        loss = recon_loss(theta, g, scenes, mask, cfg, eps_list=eps_list,
+                          noise_rng=np.random.default_rng(13))
+        return add(loss, mul(entropy_term(g), cfg.beta))
 
     worst = grad_check(builder, params, h=h)
     return ("end-to-end", worst, 1e-4, worst < 1e-4)

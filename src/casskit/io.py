@@ -266,26 +266,23 @@ def parse_config(text):
 
 
 def format_config(d):
-    """Dict -> sorted key=value lines (bools lowercase, floats via repr)."""
+    """Dict -> sorted key=value lines (floats via repr)."""
     lines = []
     for key in sorted(d):
         value = d[key]
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             value = repr(value)
         lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
 
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
-
-
 def coerce_dataclass(items, cls, *, used=None):
     """Build ``cls`` from string values, casting by each field's default type.
 
-    ``items`` maps key -> raw string (or already-typed value).  Unknown
+    ``items`` maps key -> raw string (or already-typed value).  Text is
+    cast for ``int`` and ``float`` fields and kept for ``str`` ones; a
+    field of any other type cannot be read from text and raises
+    :class:`ConfigError` naming the key.  Unknown
     keys raise :class:`ConfigError`; if ``used`` (a set) is given they are
     silently skipped instead and every consumed key is added to ``used``,
     which lets one file feed several dataclasses with leftover detection
@@ -303,26 +300,15 @@ def coerce_dataclass(items, cls, *, used=None):
         if used is not None:
             used.add(key)
         ftype = type(getattr(cls(), key))
-        if isinstance(raw, str):
+        value = raw
+        if isinstance(raw, str) and ftype is not str:
+            if ftype not in (int, float):
+                raise ConfigError(f"config key {key!r}: cannot read a {ftype.__name__} "
+                                  f"from text")
             try:
-                if ftype is bool:
-                    low = raw.lower()
-                    if low in _TRUE:
-                        value = True
-                    elif low in _FALSE:
-                        value = False
-                    else:
-                        raise ValueError(f"not a boolean: {raw!r}")
-                elif ftype is int:
-                    value = int(raw)
-                elif ftype is float:
-                    value = float(raw)
-                else:
-                    value = raw
+                value = ftype(raw)
             except ValueError as e:
                 raise ConfigError(f"config key {key!r}: {e}") from None
-        else:
-            value = raw
         kwargs[key] = value
     return cls(**kwargs)
 

@@ -105,7 +105,9 @@ def entropy_term(g):
     """Mean over pixels of ln(g * sqrt(2*pi*e)), the per-pixel Gaussian entropy.
 
     Tensor in, scalar Tensor out (differentiable).  Zero exactly when
-    g == (2*pi*e)**-0.5; negative for smaller g.
+    g == (2*pi*e)**-0.5; negative for smaller g.  Training adds it to the
+    upper-level loss times ``TrainConfig.beta``, so the sign of beta is the
+    sign of the term: beta > 0 penalizes entropy, beta < 0 rewards it.
     """
     if not isinstance(g, Tensor):
         raise TypeError("entropy_term deviation map must be a Tensor")

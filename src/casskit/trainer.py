@@ -8,8 +8,8 @@ row, all sharing one Monte-Carlo reconstruction loss:
   perturbed through the frozen phi, then alternates rounds: a few epochs
   updating theta on the training scenes (deviation map treated as
   constant), then a few epochs updating the deviation network phi on
-  held-out validation scenes using the reconstruction loss plus a
-  weighted mask-entropy term.
+  held-out validation scenes using the reconstruction loss plus the
+  mask entropy weighted by the signed ``beta``.
 * ``no-bilevel`` warms up the same way, then steps theta and phi together
   on the training scenes, the single-loop control.
 * ``fixed-variance`` is mask-ensemble training of theta alone under a
@@ -66,6 +66,7 @@ fewer than the usable cores, and live until the interpreter exits; see
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -91,7 +92,6 @@ __all__ = [
     "Adam",
     "lr_schedule",
     "recon_loss",
-    "total_loss",
     "TrainState",
     "make_state",
     "REGIMES",
@@ -144,9 +144,8 @@ class TrainConfig:
     t_val: int = 3
     rounds: int = 20
     batch: int = 4
-    beta: float = 1e-3
+    beta: float = 1e-3  # signed weight of the entropy term: beta < 0 is an entropy bonus
     lr_halve_period: int = 50
-    entropy_flip: bool = False  # subtract the entropy term instead of adding it
     seed: int = 0
 
     def validate(self):
@@ -158,7 +157,7 @@ class TrainConfig:
         if min(self.backbone_channels, self.gst_channels, self.gst_proj_channels) < 1:
             raise ValueError("channel counts must be >= 1")
         for name in ("noise_std", "prior_sigma", "backbone_blocks", "alpha0", "alpha1",
-                     "alpha2", "t_init", "t_trn", "t_val", "rounds", "beta"):
+                     "alpha2", "t_init", "t_trn", "t_val", "rounds", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch < 1:
@@ -299,22 +298,6 @@ def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
     return mul(acc, 1.0 / len(scenes))
 
 
-def total_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
-               noise_rng=None):
-    """Reconstruction loss plus beta-weighted mask entropy of ``g``.
-
-    Returns (total, recon, mean_entropy_float).  With beta == 0 the total
-    IS the recon loss object, so the two are bit-identical.
-    """
-    loss = recon_loss(theta, g, batch, mask, cfg, rng, eps_list=eps_list,
-                      noise_rng=noise_rng)
-    ent = entropy_term(g)
-    total = loss
-    if cfg.beta != 0.0:
-        total = add(loss, mul(ent, -cfg.beta if cfg.entropy_flip else cfg.beta))
-    return total, loss, float(ent.data)
-
-
 @dataclass
 class TrainState:
     """Everything a run needs to continue: params, optimizers, streams, counters."""
@@ -328,7 +311,8 @@ class TrainState:
     epoch: int = 0
     round: int = 0
     log: list = field(default_factory=list)
-    # {"mode": one of REGIMES, "fixed_g": float or None}; None if not recorded
+    # {"mode": one of REGIMES, "fixed_g": the spread >= 0 under "fixed-variance",
+    # else None}; None if not recorded
     regime: dict | None = None
     # the scenario trained on, as key=value lines; None if not recorded
     scenario: str | None = None
@@ -399,7 +383,8 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
 
     This is where the deviation map g of each batch is decided.  Epochs
     that step phi put ``gst_forward(m, state.phi)`` on the tape and score
-    the loss of :func:`total_loss`.  Theta-only epochs score the loss of
+    the loss of :func:`recon_loss` plus ``cfg.beta`` times the mask entropy
+    of g, the term left out at beta 0.  Theta-only epochs score the loss of
     :func:`recon_loss` with g from the frozen ``phi`` taken off the tape,
     or else with the constant spread ``fixed_g``; the frozen g is computed
     once per train mask and phi state (:func:`_frozen_g`), not per batch.
@@ -410,7 +395,8 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     cores (:func:`casskit.helpers.batch_backward`), against a leaf copy
     of g.  When phi steps, the summed dL/dg then seeds one sweep through
     the deviation network together with the beta-weighted entropy, added
-    after the samples as in :func:`total_loss`'s tape.  Each sweep
+    after the samples as on the one tape that adds it to
+    :func:`recon_loss`.  Each sweep
     computes the gradients of the stepped parameters alone.
     """
     from . import helpers  # not at import, so set-up does not compile it
@@ -424,7 +410,6 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     stepped = [(opt, lr) for opt, lr in ((state.adam_theta, lr_theta),
                                          (state.adam_phi, lr_phi)) if lr is not None]
     phi_wrt = [t for _, t in state.adam_phi.named] if lr_phi is not None else []
-    weight = -cfg.beta if cfg.entropy_flip else cfg.beta
     tot = 0.0
     ent_tot = 0.0
     nb = 0
@@ -443,8 +428,8 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
         if lr_phi is not None:
             root = tsum(mul(g, Tensor(g_leaf.grad)))
             if cfg.beta != 0.0:
-                root = add(root, mul(ent, weight))
-                loss += float(ent.data) * weight
+                root = add(root, mul(ent, cfg.beta))
+                loss += float(ent.data) * cfg.beta
             backward(root, phi_wrt)
             ent_tot += float(ent.data)
         for opt, lr in stepped:
@@ -460,6 +445,20 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
          "loss": tot / max(nb, 1),
          "entropy": None if lr_phi is None else ent_tot / max(nb, 1)}
     )
+
+
+_REGIME = (f"a mode in {sorted(REGIMES)} and a fixed_g that is null, or under "
+           f"fixed-variance a finite number >= 0")
+
+
+def _regime(value):
+    """Whether ``value`` is a regime :func:`train_regime` can run: see ``_REGIME``."""
+    if not isinstance(value, dict) or value.get("mode") not in REGIMES:
+        return False
+    g0 = value.get("fixed_g")
+    if value["mode"] != "fixed-variance":
+        return g0 is None
+    return type(g0) in (int, float) and 0.0 <= g0 < math.inf
 
 
 def train_regime(state, train_scenes, val_scenes, masks):
@@ -485,9 +484,9 @@ def train_regime(state, train_scenes, val_scenes, masks):
             "the state records no training regime; a checkpoint needs the "
             "'meta/regime' blob to be resumed"
         )
-    mode = state.regime.get("mode")
-    if mode not in REGIMES:
-        raise ValueError(f"unknown training mode {mode!r}")
+    if not _regime(state.regime):
+        raise ValueError(f"the training regime {state.regime!r} must have {_REGIME}")
+    mode = state.regime["mode"]
     if REGIMES[mode] != (state.phi is not None):
         raise ValueError(
             f"the {mode!r} regime {'needs' if REGIMES[mode] else 'trains without'} "
@@ -520,7 +519,7 @@ def train_regime(state, train_scenes, val_scenes, masks):
             _epoch(state, train_scenes, masks, "joint",
                    lr_theta=lr(cfg.alpha1, state.epoch), lr_phi=lr(cfg.alpha2, state.epoch))
     elif mode in ("no-gst", "fixed-variance"):
-        g0 = state.regime.get("fixed_g") or 0.0  # no-gst records none: the spread 0
+        g0 = state.regime["fixed_g"] if mode == "fixed-variance" else 0.0
         while state.epoch < budget:
             _epoch(state, train_scenes, masks, "baseline",
                    lr_theta=lr(cfg.alpha1, state.epoch), fixed_g=g0)
@@ -618,8 +617,8 @@ def state_from_blobs(blobs):
                            and all(isinstance(row, dict) for row in log),
                            "a JSON list of objects")
     if "meta/regime" in blobs:
-        state.regime = _json_blob(blobs, "meta/regime", lambda r: isinstance(r, dict),
-                                  "a JSON object")
+        state.regime = _json_blob(blobs, "meta/regime", _regime,
+                                  f"a JSON object with {_REGIME}")
     if "meta/scenario" in blobs:
         state.scenario = _blob(blobs, "meta/scenario", str)
     for role, gen in state.rngs.items():

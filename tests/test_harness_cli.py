@@ -101,12 +101,13 @@ def test_load_config_routes_between_dataclasses():
 
 @pytest.mark.parametrize("line", [
     "noise_mode=fixed", "noise_max=0.05", "eps_mean=0.0", "eps_std=1.0",
-    "perturb_encode=true", "loss_scale=mean", "pretrain_perturb=true",
+    "perturb_encode=true", "loss_scale=mean", "pretrain_perturb=true", "entropy_flip=false",
 ])
 def test_deleted_config_keys_are_rejected_by_name(line):
     # training noise is noise_std alone, eps is N(0, 1),
     # measurements are always re-encoded through the perturbed mask, the
-    # loss is always a mean, and pretrain always perturbs through phi
+    # loss is always a mean, pretrain always perturbs through phi, and the
+    # sign of the entropy term is the sign of beta
     key = line.partition("=")[0]
     with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
         load_config(line + "\n")
@@ -697,6 +698,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                "--out-dir", str(tmp_path / "z")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("casskit: error:")
+
+
+@pytest.mark.parametrize("config_seed, flag, want", [(11, ["--seed", "-1"], -1), (-3, [], -3)])
+def test_cli_names_a_negative_seed(tmp_path, capsys, config_seed, flag, want):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(run_config_text(tiny_cfg(seed=config_seed), tiny_spec()))
+    rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")] + flag)
+    assert rc == 2
+    assert f"seed must be >= 0, got {want}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_corrupt_checkpoint(tmp_path, capsys):

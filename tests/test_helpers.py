@@ -7,6 +7,8 @@ the same bits as the serial step.  The count is set here by replacing
 child processes.
 """
 
+import concurrent.futures
+import copy
 import os
 import subprocess
 import sys
@@ -20,9 +22,10 @@ import pytest
 import casskit
 from casskit import helpers, trainer
 from casskit.gstnet import gst_forward
-from casskit.ndgrad import Tensor, backward
+from casskit.maskmodel import entropy_term
+from casskit.ndgrad import Tensor, add, backward, mul
 from casskit.optics import Mask
-from casskit.trainer import TrainConfig, make_state, recon_loss, state_blobs, total_loss
+from casskit.trainer import TrainConfig, make_state, recon_loss, state_blobs
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(casskit.__file__)))
 
@@ -60,11 +63,12 @@ def _one_tape_epoch(state, scenes, masks, phase, lr_theta=None, lr_phi=None, phi
             g = trainer._frozen_g(state, m, phi)
         else:
             g = Tensor(np.full(m.values.shape, fixed_g))
-        if lr_phi is None:
-            loss = recon_loss(state.theta, g, batch, m, cfg, eps, noise_rng=noise)
-        else:
-            loss, _, ent = total_loss(state.theta, g, batch, m, cfg, eps, noise_rng=noise)
-            ent_tot += ent
+        loss = recon_loss(state.theta, g, batch, m, cfg, eps, noise_rng=noise)
+        if lr_phi is not None:
+            ent = entropy_term(g)
+            if cfg.beta != 0.0:
+                loss = add(loss, mul(ent, cfg.beta))
+            ent_tot += float(ent.data)
         backward(loss, wrt)
         for opt, lr in stepped:
             opt.step(lr)
@@ -86,7 +90,8 @@ def _epochs(cfg, steps, scenes, masks, epoch):
 
 
 @pytest.mark.parametrize("steps, beta", [
-    ("theta", 1e-2), ("fixed", 1e-2), ("phi", 1e-2), ("phi", 0.0), ("both", 1e-2)])
+    ("theta", 1e-2), ("fixed", 1e-2), ("phi", 1e-2), ("phi", 0.0), ("both", 1e-2),
+    ("phi", -1e-2), ("both", -1e-2)])
 @pytest.mark.parametrize("noise_std", [0.0, 0.02])
 @pytest.mark.parametrize("batch, n_scenes", [(2, 5), (3, 4), (1, 2)])
 def test_every_helper_count_gives_the_one_tape_bits(monkeypatch, steps, beta, noise_std, batch,
@@ -115,6 +120,27 @@ def test_a_forked_process_starts_its_own_helpers(monkeypatch):
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert helpers.pool(1) == parents
+
+
+def test_a_call_beyond_the_pipe_and_the_iov_limit_comes_back_bit_for_bit():
+    # over 2 MiB in more than _IOV arrays each way: each writer must wait
+    # for its reader, and each message takes more than one writev and readv
+    rng = np.random.default_rng(3)
+    arrays = [rng.standard_normal(600) for _ in range(helpers._IOV + 88)]
+    assert sum(a.nbytes for a in arrays) > 2 * helpers._PIPE_BYTES
+    h = helpers.pool(1)[0]
+    worker = concurrent.futures.ThreadPoolExecutor(1)
+    call = worker.submit(lambda: (h.submit(copy.copy, arrays), h.result())[1])
+    try:
+        back = call.result(timeout=60)
+    except concurrent.futures.TimeoutError:
+        h.proc.kill()  # the blocked pipe call then fails and closes the pool
+        pytest.fail("a large helper call did not come back within 60 s")
+    finally:
+        worker.shutdown()
+    assert len(back) == len(arrays)
+    for a, b in zip(arrays, back):
+        assert b.shape == a.shape and b.tobytes() == a.tobytes()
 
 
 def _diverging_step(monkeypatch, cores):

@@ -267,46 +267,50 @@ def test_parse_config_errors():
 
 
 def test_format_config_sorted_and_typed():
-    out = format_config({"b": 0.25, "a": 3, "flag": True, "off": False, "s": "hi"})
-    assert out == "a=3\nb=0.25\nflag=true\noff=false\ns=hi\n"
+    out = format_config({"b": 0.25, "a": 3, "s": "hi", "neg": -1e-3})
+    assert out == "a=3\nb=0.25\nneg=-0.001\ns=hi\n"
 
 
 def test_format_parse_roundtrip():
-    d = {"n": 7, "rate": 0.0004, "deep": True, "tag": "run1"}
+    d = {"n": 7, "rate": 0.0004, "tag": "run1"}
     back = parse_config(format_config(d))
-    assert back == {"n": "7", "rate": "0.0004", "deep": "true", "tag": "run1"}
+    assert back == {"n": "7", "rate": "0.0004", "tag": "run1"}
 
 
 @dataclass
 class _Opts:
     n: int = 1
     rate: float = 0.5
-    deep: bool = False
     tag: str = "x"
 
 
 def test_coerce_casts_by_field_type():
-    got = coerce_dataclass({"n": "7", "rate": "2.5", "deep": "Yes", "tag": "run"}, _Opts)
-    assert got == _Opts(n=7, rate=2.5, deep=True, tag="run")
-
-
-@pytest.mark.parametrize("raw,value", [
-    ("true", True), ("1", True), ("on", True),
-    ("false", False), ("0", False), ("no", False), ("OFF", False),
-])
-def test_coerce_bool_synonyms(raw, value):
-    assert coerce_dataclass({"deep": raw}, _Opts).deep is value
+    got = coerce_dataclass({"n": "7", "rate": "2.5", "tag": "run"}, _Opts)
+    assert got == _Opts(n=7, rate=2.5, tag="run")
 
 
 def test_coerce_bad_values():
     with pytest.raises(ConfigError, match="config key 'n'"):
         coerce_dataclass({"n": "seven"}, _Opts)
-    with pytest.raises(ConfigError, match="config key 'deep'.*not a boolean"):
-        coerce_dataclass({"deep": "maybe"}, _Opts)
+    with pytest.raises(ConfigError, match="config key 'rate'"):
+        coerce_dataclass({"rate": "fast"}, _Opts)
+
+
+@dataclass
+class _Knobs:
+    deep: bool = False
+    shape: tuple = (1, 2)
+
+
+@pytest.mark.parametrize("key, raw", [("deep", "false"), ("deep", "true"), ("shape", "3,4")])
+def test_coerce_refuses_text_for_a_type_it_cannot_read(key, raw):
+    # only int, float and str fields read text: "false" must not become a truthy str
+    with pytest.raises(ConfigError, match=f"config key '{key}': cannot read a "):
+        coerce_dataclass({key: raw}, _Knobs)
 
 
 def test_coerce_unknown_key_lists_valid_ones():
-    with pytest.raises(ConfigError, match="unknown config key 'nn'.*deep, n, rate, tag"):
+    with pytest.raises(ConfigError, match="unknown config key 'nn'.*n, rate, tag"):
         coerce_dataclass({"nn": "7"}, _Opts)
 
 

@@ -18,8 +18,8 @@ import pytest
 from casskit import helpers, trainer
 from casskit.gstnet import gst_forward
 from casskit.harness import ScenarioSpec, build_experiment, run_training
-from casskit.maskmodel import LOG_SQRT_2PIE
-from casskit.ndgrad import Tensor, backward, mul
+from casskit.maskmodel import LOG_SQRT_2PIE, entropy_term
+from casskit.ndgrad import Tensor, add, backward, mul
 from casskit.optics import Mask
 from casskit.trainer import (
     REGIMES,
@@ -35,7 +35,6 @@ from casskit.trainer import (
     save_state,
     state_blobs,
     state_from_blobs,
-    total_loss,
     train_regime,
 )
 
@@ -153,7 +152,8 @@ def test_regime_and_networks_must_agree_before_any_epoch(mode):
     blobs = state_blobs(make_state(cfg))
     if REGIMES[mode]:
         blobs = {k: v for k, v in blobs.items() if not k.startswith(("phi/", "opt_phi/"))}
-    blobs["meta/regime"] = json.dumps({"mode": mode, "fixed_g": None})
+    g0 = 0.1 if mode == "fixed-variance" else None
+    blobs["meta/regime"] = json.dumps({"mode": mode, "fixed_g": g0})
     state = state_from_blobs(blobs)
     held = "holds none" if REGIMES[mode] else "holds one"
     with pytest.raises(ValueError, match=f"'{mode}'.*deviation network.*{held}"):
@@ -443,34 +443,41 @@ def test_recon_loss_draws_measurement_noise_from_noise_rng():
 
 
 def test_total_loss_beta_zero_is_recon_object():
+    # a beta = 0 phi epoch scores the reconstruction loss alone, bit for
+    # bit, and still logs the entropy; one batch of two, one mask
     cfg = tiny_cfg(beta=0.0)
     state = make_state(cfg)
-    scenes, masks = tiny_problem(cfg)
-    eps = [RNG.standard_normal((6, 6)) for _ in range(2)]
-    total, recon, ent = total_loss(state.theta, gst_forward(masks[0], state.phi),
-                                   scenes[:2], masks[0], cfg, eps_list=eps)
-    assert total is recon
-    assert ent is not None  # still reported for the log
+    scenes, masks = tiny_problem(cfg, n_scenes=2, n_masks=1)
+    ref = make_state(cfg)
+    order, pick, eps = (ref.rngs["phi_" + role] for role in ("order", "mask", "eps"))
+    batch = [scenes[int(i)] for i in order.permutation(2)]
+    m = masks[int(pick.integers(1))]
+    want = recon_loss(ref.theta, gst_forward(m, ref.phi), batch, m, cfg, eps)
+    trainer._epoch(state, scenes, masks, "val", lr_phi=0.0)
+    row = state.log[-1]
+    assert row["loss"] == float(want.data)
+    ent = entropy_term(gst_forward(m, state.phi))
+    assert row["entropy"] == float(ent.data)  # still reported for the log
 
 
 def test_total_loss_adds_weighted_entropy():
-    cfg = tiny_cfg(beta=1e-2)
-    state = make_state(cfg)
-    scenes, masks = tiny_problem(cfg)
-    eps = [RNG.standard_normal((6, 6)) for _ in range(2)]
+    # at rate 0 phi stays put, so the phi epochs score the same reconstruction
+    # losses and differ only by beta times the same entropy, of either sign
+    rows = {}
+    for beta in (0.0, 1e-2, -1e-2):
+        cfg = tiny_cfg(beta=beta)
+        state = make_state(cfg)
+        scenes, masks = tiny_problem(cfg)
+        trainer._epoch(state, scenes, masks[:1], "val", lr_phi=0.0)
+        rows[beta] = state.log[-1]
     g = gst_forward(masks[0], state.phi)
-    total, recon, ent = total_loss(state.theta, g, scenes[:2], masks[0], cfg,
-                                   eps_list=eps)
+    ent = rows[0.0]["entropy"]
     assert ent == pytest.approx(np.mean(np.log(g.data)) + LOG_SQRT_2PIE, abs=1e-15)
-    assert float(total.data) == pytest.approx(
-        float(recon.data) + 1e-2 * ent, rel=1e-12
-    )
-    flip = dataclasses.replace(cfg, entropy_flip=True)
-    total_f, recon_f, _ = total_loss(state.theta, g, scenes[:2], masks[0], flip,
-                                     eps_list=eps)
-    assert float(total_f.data) == pytest.approx(
-        float(recon_f.data) - 1e-2 * ent, rel=1e-12
-    )
+    assert ent < 0.0  # g starts near prior_sigma, below (2*pi*e)**-0.5
+    assert rows[-1e-2]["loss"] > rows[0.0]["loss"] > rows[1e-2]["loss"]
+    for beta in (1e-2, -1e-2):
+        assert rows[beta]["entropy"] == ent
+        assert rows[beta]["loss"] == pytest.approx(rows[0.0]["loss"] + beta * ent, rel=1e-12)
 
 
 def test_loss_graph_frees_without_the_cycle_collector():
@@ -483,10 +490,11 @@ def test_loss_graph_frees_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        total, recon, _ = total_loss(state.theta, gst_forward(masks[0], state.phi),
-                                     scenes[:2], masks[0], cfg, rng)
+        g = gst_forward(masks[0], state.phi)
+        total = add(recon_loss(state.theta, g, scenes[:2], masks[0], cfg, rng),
+                    mul(entropy_term(g), cfg.beta))
         backward(total)
-        del total, recon
+        del total, g
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -582,8 +590,9 @@ def test_theta_frozen_during_phi_steps():
     state = make_state(cfg)
     scenes, masks = tiny_problem(cfg)
     eps = [RNG.standard_normal((6, 6)) for _ in range(2)]
-    total, _, _ = total_loss(state.theta, gst_forward(masks[0], state.phi),
-                             scenes[:2], masks[0], cfg, eps_list=eps)
+    g = gst_forward(masks[0], state.phi)
+    total = add(recon_loss(state.theta, g, scenes[:2], masks[0], cfg, eps_list=eps),
+                mul(entropy_term(g), cfg.beta))
     backward(total)
     theta_before = [t.data.copy() for _, t in state.theta.parameters()]
     state.adam_phi.step(1e-3)
@@ -741,7 +750,7 @@ def test_reconstruct_scene_shape():
 def test_config_text_roundtrip():
     from casskit import io
 
-    cfg = tiny_cfg(beta=0.25, entropy_flip=True)
+    cfg = tiny_cfg(beta=-0.25)
     text = config_text(cfg)
     items = io.parse_config(text)
     back = io.coerce_dataclass(items, TrainConfig)
@@ -760,10 +769,9 @@ def test_config_validate_errors():
     with pytest.raises(ValueError):
         tiny_cfg(batch=0).validate()
     with pytest.raises(ValueError):
-        tiny_cfg(beta=-0.1).validate()
-    with pytest.raises(ValueError):
         tiny_cfg(lr_halve_period=0).validate()
-    for key in ("prior_sigma", "backbone_blocks", "alpha0", "t_init", "rounds"):
+    tiny_cfg(beta=-0.1).validate()  # the sign of beta is the sign of the entropy term
+    for key in ("prior_sigma", "backbone_blocks", "alpha0", "t_init", "rounds", "seed"):
         with pytest.raises(ValueError, match=f"{key} must be >= 0, got -1"):
             tiny_cfg(**{key: -1}).validate()
 
@@ -845,6 +853,14 @@ def test_checkpoint_records_the_regime(tmp_path):
     }
 
 
+@pytest.mark.parametrize("g0", [-0.5, math.nan, math.inf])
+def test_run_training_refuses_a_spread_that_is_not_finite_and_nonnegative(g0):
+    exp = build_experiment(tiny_cfg(), TINY_SPEC)
+    with pytest.raises(ValueError, match=rf"regime .*'fixed_g': {g0}.* must have a mode "
+                                         r"in .* a finite number >= 0"):
+        run_training(exp, mode="fixed-variance", fixed_g=g0)
+
+
 def test_state_blobs_structure_and_corruption_detection():
     cfg = tiny_cfg()
     state = make_state(cfg)
@@ -917,7 +933,16 @@ def test_load_state_checks_the_shape_of_each_moment_blob(tmp_path, name, shape):
     ("meta/counters", "[]"), ("meta/counters", "{}"),
     ("meta/counters", '{"epoch": "3", "round": 0}'),
     ("meta/counters", '{"epoch": -1, "round": 0}'),
-    ("meta/regime", "[]"),
+    ("meta/regime", "[]"), ("meta/regime", '{"fixed_g": null}'),
+    ("meta/regime", '{"mode": "sideways", "fixed_g": null}'),
+    ("meta/regime", '{"mode": "fixed-variance", "fixed_g": NaN}'),
+    ("meta/regime", '{"mode": "fixed-variance", "fixed_g": Infinity}'),
+    ("meta/regime", '{"mode": "fixed-variance", "fixed_g": "abc"}'),
+    ("meta/regime", '{"mode": "fixed-variance", "fixed_g": -0.5}'),
+    ("meta/regime", '{"mode": "fixed-variance", "fixed_g": true}'),
+    ("meta/regime", '{"mode": "fixed-variance"}'),
+    ("meta/regime", '{"mode": "no-gst", "fixed_g": 3.0}'),
+    ("meta/regime", '{"mode": "full", "fixed_g": 0.0}'),
     ("opt_theta/t", "[]"), ("opt_theta/t", "-3"), ("opt_theta/t", "2.5"),
     ("opt_theta/t", '"4"'), ("opt_phi/t", "-1"), ("opt_phi/t", "true"),
     ("meta/log", "{}"), ("meta/log", "[1]"),
