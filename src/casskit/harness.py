@@ -18,8 +18,8 @@ Every variant is one :func:`run_scenario` on its own config.  Its
 ``config.txt`` holds the config and the scenario, but not the regime:
 the mode, and a ``fixed-variance`` spread, live only in the
 checkpoint's ``meta/regime`` blob.  The harness holds no training loop:
-``run_training`` makes a fresh state, records its regime, and hands it
-to :func:`casskit.trainer.train_regime`; every control gets the full
+``run_training`` makes a fresh state in its regime and hands it to
+:func:`casskit.trainer.train_regime`; every control gets the full
 method's theta budget.  Reports land as deterministic CSV files,
 uncertainty maps as PGM images plus raw cube dumps.
 """
@@ -45,7 +45,6 @@ from .metrics import SSIM_WINDOW, TrialReport, epistemic_map, psnr, ssim
 from .ndgrad import Tensor, add, grad_check, mul, tsum
 from .optics import HsiCube, Mask, encode
 from .trainer import (
-    REGIMES,
     TrainConfig,
     config_text,
     make_state,
@@ -250,14 +249,8 @@ def run_training(exp, mode="full", fixed_g=0.0):
     The regime and the scenario are recorded in the state, so its
     checkpoint resumes in the one and can be checked against the other.
     """
-    if mode not in REGIMES:
-        raise ValueError(f"unknown training mode {mode!r}")
-    state = make_state(exp.cfg, with_gst=REGIMES[mode])
+    state = make_state(exp.cfg, mode, float(fixed_g) if mode == "fixed-variance" else None)
     state.scenario = config_text(exp.spec)
-    state.regime = {
-        "mode": mode,
-        "fixed_g": float(fixed_g) if mode == "fixed-variance" else None,
-    }
     return train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
 
 

@@ -22,8 +22,10 @@ call.  The controls get the full method's theta budget,
 ``t_init + rounds * t_trn`` epochs.
 
 The epoch helper alone decides the deviation map g of each batch: on the
-tape from phi when phi steps, a frozen copy of it, or a constant when
-only theta steps.  The losses only score the map they are given.
+tape from phi when phi steps, else from the schedule's table of one map
+per train mask, which holds the frozen phi's maps (each computed once
+between phi epochs) or a control's constant spread.  The losses only
+score the map they are given.
 Each loss sample redraws the mask: m' = clamp01(m + g * eps), re-encodes
 the scene through m', and reconstructs from the windowed initialization,
 so gradients reach phi through both the measurement and the conditioning.
@@ -113,6 +115,19 @@ REGIMES = {
     "full": True, "no-gst": False, "no-bilevel": True,
     "fixed-variance": False, "untrained": True,
 }
+
+_REGIME = (f"a mode in {sorted(REGIMES)} and a fixed_g that is null, or under "
+           f"fixed-variance a finite number >= 0")
+
+
+def _regime(value):
+    """Whether ``value`` is a regime :func:`train_regime` can run: see ``_REGIME``."""
+    if not isinstance(value, dict) or value.get("mode") not in REGIMES:
+        return False
+    g0 = value.get("fixed_g")
+    if value["mode"] != "fixed-variance":
+        return g0 is None
+    return type(g0) in (int, float) and 0.0 <= g0 < math.inf
 
 
 class TrainingDiverged(RuntimeError):
@@ -308,28 +323,28 @@ class TrainState:
     adam_theta: Adam
     adam_phi: Adam | None
     rngs: dict
+    # {"mode": one of REGIMES, "fixed_g": the spread >= 0 under "fixed-variance",
+    # else None}
+    regime: dict
     epoch: int = 0
     round: int = 0
     log: list = field(default_factory=list)
-    # {"mode": one of REGIMES, "fixed_g": the spread >= 0 under "fixed-variance",
-    # else None}; None if not recorded
-    regime: dict | None = None
     # the scenario trained on, as key=value lines; None if not recorded
     scenario: str | None = None
-    # (phi's values, {mask values: frozen g}) memo of theta-only epochs;
-    # run-local, never checkpointed (see _frozen_g)
-    g_memo: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def make_state(cfg, with_gst=True):
-    """Fresh parameters and optimizer/stream state from ``cfg.seed``.
+def make_state(cfg, mode="full", fixed_g=None):
+    """A fresh state from ``cfg.seed`` in a regime that :func:`_regime` accepts.
 
-    The deviation network's output bias starts at softplus^-1(prior_sigma),
-    so the initial map g sits near the fabrication prior's spread rather
-    than at softplus(0) ~ 0.69.
+    Phi, made exactly when ``REGIMES[mode]``, starts with its output bias at
+    softplus^-1(prior_sigma), so the initial map g sits near the fabrication
+    prior's spread rather than at softplus(0) ~ 0.69.
     """
     cfg.validate()
-    if with_gst and cfg.prior_sigma <= 0.0:
+    regime = {"mode": mode, "fixed_g": fixed_g}
+    if not _regime(regime):
+        raise ValueError(f"the training regime {regime!r} must have {_REGIME}")
+    if REGIMES[mode] and cfg.prior_sigma <= 0.0:
         raise ValueError(
             f"prior_sigma must be > 0 to start the deviation network, got "
             f"{cfg.prior_sigma}: softplus^-1(0) is -inf and the entropy term "
@@ -341,12 +356,12 @@ def make_state(cfg, with_gst=True):
         cfg.bands, cfg.backbone_channels, cfg.backbone_blocks, rngs["init_theta"]
     )
     phi = None
-    if with_gst:
+    if REGIMES[mode]:
         phi = gst_init(cfg.gst_channels, cfg.gst_proj_channels, rngs["init_phi"])
         phi.out_b.data[...] = np.log(np.expm1(cfg.prior_sigma))
     adam_theta = Adam(theta.parameters())
     adam_phi = Adam(phi.parameters()) if phi is not None else None
-    return TrainState(cfg, theta, phi, adam_theta, adam_phi, rngs)
+    return TrainState(cfg, theta, phi, adam_theta, adam_phi, rngs, regime)
 
 
 def _batches(scenes, batch, rng):
@@ -355,39 +370,18 @@ def _batches(scenes, batch, rng):
         yield [scenes[int(i)] for i in idx[s : s + batch]]
 
 
-def _pick_mask(masks, rng):
-    return masks[int(rng.integers(len(masks)))]
-
-
-def _frozen_g(state, m, phi):
-    """``gst_forward(m, phi)`` taken off the tape, computed once per (m, phi).
-
-    While only theta steps, phi is frozen and g is a constant of the mask,
-    so all of pretrain and each round's theta epochs reuse one g per train
-    mask.  The memo is keyed on phi's values and dropped as soon as they
-    change; a resumed run rebuilds it, so it never reaches a checkpoint.
-    """
-    phi_key = b"".join(t.data.tobytes() for _, t in phi.parameters())
-    if state.g_memo is None or state.g_memo[0] != phi_key:
-        state.g_memo = (phi_key, {})
-    by_mask = state.g_memo[1]
-    mask_key = _mask_values(m).tobytes()
-    if mask_key not in by_mask:
-        by_mask[mask_key] = Tensor(gst_forward(m, phi).data)
-    return by_mask[mask_key]
-
-
 def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
-           phi=None, fixed_g=0.0):
+           frozen=None):
     """One pass over ``scenes`` stepping theta, phi or both; logs one row.
 
     This is where the deviation map g of each batch is decided.  Epochs
     that step phi put ``gst_forward(m, state.phi)`` on the tape and score
     the loss of :func:`recon_loss` plus ``cfg.beta`` times the mask entropy
     of g, the term left out at beta 0.  Theta-only epochs score the loss of
-    :func:`recon_loss` with g from the frozen ``phi`` taken off the tape,
-    or else with the constant spread ``fixed_g``; the frozen g is computed
-    once per train mask and phi state (:func:`_frozen_g`), not per batch.
+    :func:`recon_loss` with g from ``frozen``, the schedule's table from
+    train-mask index to a g leaf; an index not yet in it gets
+    ``gst_forward(m, state.phi)`` taken off the tape, so a map is computed
+    once per train mask while phi stays put, not per batch.
     Epochs that step only phi draw batch order, mask, eps and noise from
     the ``phi_*`` streams; every other epoch draws from the theta streams.
 
@@ -414,15 +408,16 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     ent_tot = 0.0
     nb = 0
     for batch in _batches(scenes, cfg.batch, order):
-        m = _pick_mask(masks, pick)
+        i = int(pick.integers(len(masks)))
+        m = masks[i]
         if lr_phi is not None:
             g = gst_forward(m, state.phi)
             ent = entropy_term(g)
             g_leaf = Tensor(g.data)  # the samples' sweeps end here, not in the network
-        elif phi is not None:
-            g_leaf = _frozen_g(state, m, phi)
         else:
-            g_leaf = Tensor(np.full(_mask_values(m).shape, fixed_g, dtype=np.float64))
+            if i not in frozen:
+                frozen[i] = Tensor(gst_forward(m, state.phi).data)
+            g_leaf = frozen[i]
         loss = helpers.batch_backward(state.theta, g_leaf, batch, m, cfg, eps, noise_rng,
                                       lr_theta is not None, lr_phi is not None)
         if lr_phi is not None:
@@ -447,20 +442,6 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     )
 
 
-_REGIME = (f"a mode in {sorted(REGIMES)} and a fixed_g that is null, or under "
-           f"fixed-variance a finite number >= 0")
-
-
-def _regime(value):
-    """Whether ``value`` is a regime :func:`train_regime` can run: see ``_REGIME``."""
-    if not isinstance(value, dict) or value.get("mode") not in REGIMES:
-        return False
-    g0 = value.get("fixed_g")
-    if value["mode"] != "fixed-variance":
-        return g0 is None
-    return type(g0) in (int, float) and 0.0 <= g0 < math.inf
-
-
 def train_regime(state, train_scenes, val_scenes, masks):
     """Run the regime recorded in ``state.regime`` until its budgets are met.
 
@@ -479,21 +460,15 @@ def train_regime(state, train_scenes, val_scenes, masks):
     The returned state's parameters hold no gradient buffers: they are
     made again, as zeros, when a step next needs them.
     """
-    if state.regime is None:
-        raise ValueError(
-            "the state records no training regime; a checkpoint needs the "
-            "'meta/regime' blob to be resumed"
-        )
-    if not _regime(state.regime):
-        raise ValueError(f"the training regime {state.regime!r} must have {_REGIME}")
     mode = state.regime["mode"]
-    if REGIMES[mode] != (state.phi is not None):
-        raise ValueError(
-            f"the {mode!r} regime {'needs' if REGIMES[mode] else 'trains without'} "
-            f"the deviation network, but the state "
-            f"{'holds none' if state.phi is None else 'holds one'}"
-        )
     cfg = state.cfg
+    # train-mask index -> the theta-only epochs' g leaf: a control's constant
+    # spread, or phi's frozen map, made on first use and dropped when phi moves
+    frozen = {}
+    if mode in ("no-gst", "fixed-variance"):
+        g0 = state.regime["fixed_g"] if mode == "fixed-variance" else 0.0
+        frozen = {i: Tensor(np.full(_mask_values(m).shape, g0, dtype=np.float64))
+                  for i, m in enumerate(masks)}
 
     def lr(base, epoch):
         return lr_schedule(base, epoch, cfg.lr_halve_period)
@@ -502,27 +477,27 @@ def train_regime(state, train_scenes, val_scenes, masks):
     if mode in ("full", "no-bilevel"):
         while state.epoch < cfg.t_init:
             _epoch(state, train_scenes, masks, "pretrain",
-                   lr_theta=lr(cfg.alpha0, state.epoch), phi=state.phi)
+                   lr_theta=lr(cfg.alpha0, state.epoch), frozen=frozen)
     if mode == "full":
         while state.round < cfg.rounds:
             r = state.round
             for _ in range(cfg.t_trn):
                 # every round so far ran t_val phi epochs after its theta epochs
                 _epoch(state, train_scenes, masks, "train", r,
-                       lr_theta=lr(cfg.alpha1, state.epoch - r * cfg.t_val), phi=state.phi)
+                       lr_theta=lr(cfg.alpha1, state.epoch - r * cfg.t_val), frozen=frozen)
             for _ in range(cfg.t_val):
                 _epoch(state, val_scenes, masks, "val", r,
                        lr_phi=lr(cfg.alpha2, state.epoch))
+            frozen.clear()  # phi moved
             state.round += 1
     elif mode == "no-bilevel":
         while state.epoch < budget:
             _epoch(state, train_scenes, masks, "joint",
                    lr_theta=lr(cfg.alpha1, state.epoch), lr_phi=lr(cfg.alpha2, state.epoch))
     elif mode in ("no-gst", "fixed-variance"):
-        g0 = state.regime["fixed_g"] if mode == "fixed-variance" else 0.0
         while state.epoch < budget:
             _epoch(state, train_scenes, masks, "baseline",
-                   lr_theta=lr(cfg.alpha1, state.epoch), fixed_g=g0)
+                   lr_theta=lr(cfg.alpha1, state.epoch), frozen=frozen)
     for _, params, _ in _networks(state):
         for _, t in params.parameters():
             t.grad = None  # all zeros after the last step; the next sweep makes them again
@@ -564,8 +539,7 @@ def state_blobs(state):
     blobs = {"meta/config": config_text(state.cfg)}
     blobs["meta/counters"] = json.dumps({"epoch": state.epoch, "round": state.round})
     blobs["meta/log"] = json.dumps(state.log)
-    if state.regime is not None:
-        blobs["meta/regime"] = json.dumps(state.regime, sort_keys=True)
+    blobs["meta/regime"] = json.dumps(state.regime, sort_keys=True)
     if state.scenario is not None:
         blobs["meta/scenario"] = state.scenario
     for role, gen in state.rngs.items():
@@ -600,29 +574,51 @@ def _load_into(dest, blobs, name):
     dest[...] = arr
 
 
+# what every row of a checkpoint's loss log must be; JSON booleans are no numbers
+_LOG_ROW = ("objects with a string phase, integer round and epoch, a number loss and "
+            "a number or null entropy")
+
+
+def _log_row(row):
+    return (isinstance(row, dict) and type(row.get("phase")) is str
+            and all(type(row.get(k)) is int for k in ("round", "epoch"))
+            and type(row.get("loss")) in (int, float)
+            and type(row.get("entropy", "")) in (int, float, type(None)))
+
+
 def state_from_blobs(blobs):
-    """Rebuild a TrainState; inverse of :func:`state_blobs`."""
-    cfg_items = io.parse_config(_blob(blobs, "meta/config", str))
-    cfg = io.coerce_dataclass(cfg_items, TrainConfig)
-    with_gst = any(k.startswith("phi/") for k in blobs)
-    state = make_state(cfg, with_gst=with_gst)
+    """Rebuild a TrainState in its ``meta/regime``; inverse of :func:`state_blobs`."""
+    regime = _json_blob(blobs, "meta/regime", _regime, f"a JSON object with {_REGIME}")
+    if not REGIMES[regime["mode"]] and any(k.startswith(("phi/", "opt_phi/")) for k in blobs):
+        raise ValueError(f"checkpoint blob 'meta/regime' records the {regime['mode']!r} "
+                         f"regime, which trains without the phi/ blobs the checkpoint holds")
+    text = _blob(blobs, "meta/config", str)
+    try:  # the regime is sound, so only the config can fail make_state
+        state = make_state(io.coerce_dataclass(io.parse_config(text), TrainConfig),
+                           regime["mode"], regime["fixed_g"])
+    except ValueError as e:
+        raise type(e)(f"checkpoint blob 'meta/config': {e}") from None
     counters = _json_blob(
         blobs, "meta/counters",
         lambda c: isinstance(c, dict) and all(_count(c.get(k)) for k in ("epoch", "round")),
         "a JSON object with integer epoch and round >= 0")
     state.epoch = counters["epoch"]
     state.round = counters["round"]
-    state.log = _json_blob(blobs, "meta/log",
-                           lambda log: isinstance(log, list)
-                           and all(isinstance(row, dict) for row in log),
-                           "a JSON list of objects")
-    if "meta/regime" in blobs:
-        state.regime = _json_blob(blobs, "meta/regime", _regime,
-                                  f"a JSON object with {_REGIME}")
+    state.log = _json_blob(blobs, "meta/log", lambda log: isinstance(log, list), "a JSON list")
+    for i, row in enumerate(state.log):
+        if not _log_row(row):
+            raise ValueError(f"checkpoint blob 'meta/log' must be a JSON list of {_LOG_ROW}; "
+                             f"row {i} is {row!r}")
     if "meta/scenario" in blobs:
         state.scenario = _blob(blobs, "meta/scenario", str)
     for role, gen in state.rngs.items():
-        gen.bit_generator.state = json.loads(_blob(blobs, f"meta/rng/{role}", str))
+        name = f"meta/rng/{role}"
+        text = _blob(blobs, name, str)
+        try:
+            gen.bit_generator.state = json.loads(text)
+        except (TypeError, KeyError, ValueError, OverflowError) as e:
+            raise ValueError(f"checkpoint blob {name!r} must hold a PCG64 state "
+                             f"({type(e).__name__}: {e})") from None
     for prefix, params, adam in _networks(state):
         for n, t in params.parameters():
             _load_into(t.data, blobs, f"{prefix}/{n}")

@@ -257,7 +257,7 @@ def test_criterion_07_entropy_decreases(trained_seeds):
 
 def test_criterion_08_epistemic_map_sanity():
     cfg = micro_cfg()
-    state = make_state(cfg, with_gst=True)
+    state = make_state(cfg)
 
     def model(y, m):
         return reconstruct_scene(state.theta, y, m)

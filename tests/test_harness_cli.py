@@ -232,7 +232,7 @@ def test_run_training_budgets_and_modes():
     assert joint.epoch == cfg.t_init + cfg.rounds * cfg.t_trn
     assert {row["phase"] for row in joint.log} == {"pretrain", "joint"}
 
-    with pytest.raises(ValueError, match="unknown training mode"):
+    with pytest.raises(ValueError, match="regime .*'mode': 'sideways'.* must have a mode in"):
         run_training(exp, mode="sideways")
 
 
@@ -510,26 +510,58 @@ def test_cli_train_resume_without_regime_names_the_blob(cli_env, tmp_path, capsy
     assert "meta/regime" in capsys.readouterr().err
 
 
+_ROW = {"phase": "pretrain", "round": -1, "epoch": 1, "loss": 0.5, "entropy": None}
+_MT19937 = np.random.MT19937(0).state
+_MT19937["state"]["key"] = _MT19937["state"]["key"].tolist()
+
+
 def test_cli_eval_names_a_missing_or_mistyped_blob(cli_env, tmp_path, capsys):
-    # a damaged checkpoint is a data error (exit 2) that names the blob
-    for name, value in (("opt_theta/t", None), ("meta/counters", np.zeros(2)),
-                        ("meta/counters", "[]"), ("meta/counters", "{}"),
-                        ("meta/counters", '{"epoch": "3", "round": 0}'),
-                        ("meta/counters", '{"epoch": -1, "round": 0}'),
-                        ("meta/regime", "[]"), ("opt_theta/t", "[]"),
-                        ("opt_theta/t", "-3"), ("opt_theta/t", "2.5"), ("opt_theta/t", '"4"'),
-                        ("meta/log", "{}"), ("meta/log", "[1]")):
+    # a damaged checkpoint is a data error (exit 2) that names the blob, or
+    # the regime that its networks do not fit; a callable edits the blob's text
+    def config_line(key, line):
+        return lambda text: re.sub(rf"^{key}=.*$", line, text, flags=re.M)
+
+    for name, value, want in (
+            ("opt_theta/t", None, None), ("meta/counters", np.zeros(2), None),
+            ("meta/counters", "[]", None), ("meta/counters", "{}", None),
+            ("meta/counters", '{"epoch": "3", "round": 0}', None),
+            ("meta/counters", '{"epoch": -1, "round": 0}', None),
+            ("meta/regime", "[]", None), ("meta/regime", None, None),
+            ("opt_theta/t", "[]", None),
+            ("opt_theta/t", "-3", None), ("opt_theta/t", "2.5", None),
+            ("opt_theta/t", '"4"', None),
+            ("meta/log", "{}", None), ("meta/log", "[1]", None), ("meta/log", "[{}]", None),
+            ("meta/log", json.dumps([{**_ROW, "loss": "abc"}]), None),
+            ("meta/config", lambda text: text + "bogus=1\n", "unknown config key 'bogus'"),
+            ("meta/config", config_line("batch", "batch=four"), "config key 'batch'"),
+            ("meta/config", config_line("bands", "bands=0"), "bands must be >= 1"),
+            ("meta/config", config_line("prior_sigma", "prior_sigma=0.0"),
+             "prior_sigma must be > 0"),
+            ("meta/rng/eps", "[]", None),
+            ("meta/rng/eps", '{"bit_generator": "PCG64"}', None),
+            ("meta/rng/eps", json.dumps(_MT19937), None),
+            ("phi/", None, None),
+            ("meta/regime", '{"mode": "no-gst", "fixed_g": null}',
+             "'no-gst' regime, which trains without the phi/ blobs")):
         blobs = load_checkpoint(cli_env["train"] / "checkpoint.ckp")
-        if value is None:
+        if name == "phi/":  # a full checkpoint without its deviation network
+            blobs = {k: v for k, v in blobs.items() if not k.startswith(("phi/", "opt_phi/"))}
+        elif value is None:
             del blobs[name]
         else:
-            blobs[name] = value
+            blobs[name] = value(blobs[name]) if callable(value) else value
         bad = tmp_path / "bad.ckp"
         save_checkpoint(bad, blobs)
-        rc = main(["eval", "--config", str(cli_env["cfg"]), "--checkpoint", str(bad),
-                   "--out-dir", str(tmp_path / "out")])
-        assert rc == 2, name
-        assert repr(name) in capsys.readouterr().err
+        for command in ("eval", "train"):
+            args = (["--checkpoint", str(bad)] if command == "eval"
+                    else ["--resume", str(bad)])
+            rc = main([command, "--config", str(cli_env["cfg"]), *args,
+                       "--out-dir", str(tmp_path / command)])
+            assert rc == 2, (command, name, value)
+            err = capsys.readouterr().err
+            assert repr(name) in err or name == "phi/", (command, name, err)
+            assert want is None or want in err, (command, name, err)
+            assert not (tmp_path / command).exists(), (command, name)
 
 
 @pytest.mark.parametrize("command", ["eval", "uncertainty"])

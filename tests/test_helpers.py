@@ -44,8 +44,7 @@ def tiny_problem(n_scenes, seed=0):
     return scenes, masks
 
 
-def _one_tape_epoch(state, scenes, masks, phase, lr_theta=None, lr_phi=None, phi=None,
-                    fixed_g=0.0):
+def _one_tape_epoch(state, scenes, masks, phase, lr_theta=None, lr_phi=None, frozen=None):
     """The reference step: each batch's loss on one tape, one sweep, one process."""
     cfg = state.cfg
     family = "phi_" if lr_theta is None else ""
@@ -56,13 +55,14 @@ def _one_tape_epoch(state, scenes, masks, phase, lr_theta=None, lr_phi=None, phi
     tot = ent_tot = 0.0
     nb = 0
     for batch in trainer._batches(scenes, cfg.batch, order):
-        m = trainer._pick_mask(masks, pick)
+        i = int(pick.integers(len(masks)))
+        m = masks[i]
         if lr_phi is not None:
             g = gst_forward(m, state.phi)
-        elif phi is not None:
-            g = trainer._frozen_g(state, m, phi)
         else:
-            g = Tensor(np.full(m.values.shape, fixed_g))
+            if i not in frozen:
+                frozen[i] = Tensor(gst_forward(m, state.phi).data)
+            g = frozen[i]
         loss = recon_loss(state.theta, g, batch, m, cfg, eps, noise_rng=noise)
         if lr_phi is not None:
             ent = entropy_term(g)
@@ -80,9 +80,15 @@ def _one_tape_epoch(state, scenes, masks, phase, lr_theta=None, lr_phi=None, phi
                       "entropy": None if lr_phi is None else ent_tot / nb})
 
 
+def _spread(masks, g0):
+    """The table of theta-only maps a control with the constant spread g0 trains under."""
+    return {i: Tensor(np.full(m.values.shape, g0)) for i, m in enumerate(masks)}
+
+
 def _epochs(cfg, steps, scenes, masks, epoch):
     state = make_state(cfg)
-    kw = {"theta": dict(lr_theta=1e-2, phi=state.phi), "fixed": dict(lr_theta=1e-2, fixed_g=0.2),
+    kw = {"theta": dict(lr_theta=1e-2, frozen={}),
+          "fixed": dict(lr_theta=1e-2, frozen=_spread(masks, 0.2)),
           "phi": dict(lr_phi=1e-2), "both": dict(lr_theta=1e-2, lr_phi=1e-2)}[steps]
     for _ in range(2):
         epoch(state, scenes, masks, steps, **kw)
@@ -154,7 +160,8 @@ def _diverging_step(monkeypatch, cores):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(FloatingPointError) as err:
-            trainer._epoch(state, scenes, masks, "train", lr_theta=1e-3, fixed_g=0.1)
+            trainer._epoch(state, scenes, masks, "train", lr_theta=1e-3,
+                           frozen=_spread(masks, 0.1))
     return err.value
 
 
@@ -179,8 +186,9 @@ def test_a_dead_helper_fails_the_step_by_name_and_is_replaced(monkeypatch):
     dead.proc.wait(timeout=10)
     with pytest.raises(RuntimeError, match=rf"training helper process {dead.proc.pid} "
                                            r".*killed by signal 9"):
-        trainer._epoch(state, scenes, masks, "train", lr_theta=1e-3, fixed_g=0.1)
-    trainer._epoch(state, scenes, masks, "train", lr_theta=1e-3, fixed_g=0.1)
+        trainer._epoch(state, scenes, masks, "train", lr_theta=1e-3,
+                       frozen=_spread(masks, 0.1))
+    trainer._epoch(state, scenes, masks, "train", lr_theta=1e-3, frozen=_spread(masks, 0.1))
     assert helpers.pool(1)[0] is not dead
 
 

@@ -26,6 +26,7 @@ from casskit.trainer import (
     Adam,
     TrainConfig,
     TrainingDiverged,
+    TrainState,
     config_text,
     load_state,
     lr_schedule,
@@ -39,6 +40,10 @@ from casskit.trainer import (
 )
 
 RNG = np.random.default_rng(2023)
+# a loss-log row as a pretrain epoch writes it
+_ROW = {"phase": "pretrain", "round": -1, "epoch": 1, "loss": 0.5, "entropy": None}
+_MT19937 = json.dumps({**np.random.MT19937(0).state, "state": {
+    "key": np.random.MT19937(0).state["state"]["key"].tolist(), "pos": 624}})
 
 
 def tiny_cfg(**kw):
@@ -90,7 +95,8 @@ def test_lr_schedule_argument_errors():
 
 def test_every_regime_runs_its_schedule(monkeypatch):
     # the exact epoch sequence of each regime: phase, round, both rates,
-    # the constant spread and whether theta's epochs perturb through phi.
+    # the constant spread of a control's table and whether the epoch reads
+    # the schedule's table of theta-only maps.
     # Halving every 2 epochs tells apart theta's own epoch count (full)
     # from the shared one (phi, and every rate of the controls).
     from casskit import trainer
@@ -102,9 +108,17 @@ def test_every_regime_runs_its_schedule(monkeypatch):
     real_epoch = trainer._epoch
     calls = []
 
+    def spread(frozen):
+        # the one value a control's table holds; None for phi's maps or no table
+        values = {float(v) for g in (frozen or {}).values() for v in np.unique(g.data)}
+        return values.pop() if len(values) == 1 else None
+
     def epoch(state, scenes, masks, phase, rnd=-1, **kw):
+        frozen = kw.get("frozen")
         calls.append((phase, rnd, kw.get("lr_theta"), kw.get("lr_phi"),
-                      kw.get("fixed_g"), kw.get("phi") is state.phi))
+                      spread(frozen), frozen is not None))
+        if spread(frozen) is not None:
+            assert sorted(frozen) == list(range(len(masks)))
         real_epoch(state, scenes, masks, phase, rnd, **kw)
 
     monkeypatch.setattr(trainer, "_epoch", epoch)
@@ -146,19 +160,14 @@ def test_no_gst_is_the_zero_spread():
 @pytest.mark.parametrize("mode", ["full", "no-bilevel", "no-gst", "fixed-variance"])
 def test_regime_and_networks_must_agree_before_any_epoch(mode):
     # a checkpoint whose regime needs phi but holds none, or holds a phi
-    # its regime never reads, is refused before it trains an epoch
-    cfg = tiny_cfg()
-    exp = build_experiment(cfg, TINY_SPEC)
-    blobs = state_blobs(make_state(cfg))
-    if REGIMES[mode]:
-        blobs = {k: v for k, v in blobs.items() if not k.startswith(("phi/", "opt_phi/"))}
+    # its regime never reads, is refused at load, so it cannot train an epoch
+    blobs = state_blobs(make_state(tiny_cfg(), "no-gst" if REGIMES[mode] else "full"))
     g0 = 0.1 if mode == "fixed-variance" else None
     blobs["meta/regime"] = json.dumps({"mode": mode, "fixed_g": g0})
-    state = state_from_blobs(blobs)
-    held = "holds none" if REGIMES[mode] else "holds one"
-    with pytest.raises(ValueError, match=f"'{mode}'.*deviation network.*{held}"):
-        train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
-    assert state.epoch == 0 and state.log == []
+    want = ("lacks the 'phi/" if REGIMES[mode]
+            else f"'{mode}' regime, which trains without the phi/ blobs")
+    with pytest.raises(ValueError, match=want):
+        state_from_blobs(blobs)
 
 
 def test_default_schedule_constants():
@@ -526,7 +535,7 @@ def test_epoch_frees_each_batch_tape_before_the_next_forward(monkeypatch, steps)
 
     monkeypatch.setattr(trainer, "_sample_loss", sample)
     in_process(monkeypatch)
-    kw = {"theta": dict(lr_theta=1e-3, phi=state.phi), "phi": dict(lr_phi=1e-3),
+    kw = {"theta": dict(lr_theta=1e-3, frozen={}), "phi": dict(lr_phi=1e-3),
           "both": dict(lr_theta=1e-3, lr_phi=1e-3)}[steps]
     trainer._epoch(state, scenes, masks, "train", **kw)
     assert len(made) == 4
@@ -723,7 +732,7 @@ def test_make_state_needs_positive_prior_sigma_for_gst():
     cfg = tiny_cfg(prior_sigma=0.0)
     with pytest.raises(ValueError, match="prior_sigma"):
         make_state(cfg)
-    assert make_state(cfg, with_gst=False).phi is None
+    assert make_state(cfg, "no-gst").phi is None
     build_experiment(cfg, TINY_SPEC)  # a noiseless fabrication prior stays legal
 
 
@@ -895,7 +904,7 @@ def test_state_from_blobs_names_a_nonfinite_blob(prefix):
     ("opt_theta/t", None), ("opt_phi/t", None), ("theta/head_w", None),
     ("phi/out_b", None), ("opt_theta/m/head_w", None), ("opt_phi/v/out_b", None),
     ("meta/counters", np.zeros(2)), ("opt_theta/t", np.zeros(())),
-    ("theta/head_w", "0.0"), ("opt_phi/m/out_w", "[]"),
+    ("theta/head_w", "0.0"), ("opt_phi/m/out_w", "[]"), ("meta/regime", None),
 ])
 def test_load_state_names_a_missing_or_mistyped_blob(tmp_path, name, value):
     from casskit import io
@@ -945,7 +954,16 @@ def test_load_state_checks_the_shape_of_each_moment_blob(tmp_path, name, shape):
     ("meta/regime", '{"mode": "full", "fixed_g": 0.0}'),
     ("opt_theta/t", "[]"), ("opt_theta/t", "-3"), ("opt_theta/t", "2.5"),
     ("opt_theta/t", '"4"'), ("opt_phi/t", "-1"), ("opt_phi/t", "true"),
-    ("meta/log", "{}"), ("meta/log", "[1]"),
+    ("meta/log", "{}"), ("meta/log", "[1]"), ("meta/log", "[{}]"),
+    ("meta/log", json.dumps([_ROW, {**_ROW, "loss": "abc"}])),
+    ("meta/log", json.dumps([{**_ROW, "loss": True}])),
+    ("meta/log", json.dumps([{**_ROW, "phase": 3}])),
+    ("meta/log", json.dumps([{**_ROW, "round": 0.0}])),
+    ("meta/log", json.dumps([{**_ROW, "epoch": False}])),
+    ("meta/log", json.dumps([{**_ROW, "entropy": "0.1"}])),
+    ("meta/log", json.dumps([{k: v for k, v in _ROW.items() if k != "entropy"}])),
+    ("meta/rng/eps", "[]"), ("meta/rng/eps", '{"bit_generator": "PCG64"}'),
+    ("meta/rng/phi_noise", _MT19937), ("meta/rng/order", "{"),
 ])
 def test_load_state_checks_what_the_meta_blobs_hold(tmp_path, name, text):
     from casskit import io
@@ -953,9 +971,48 @@ def test_load_state_checks_what_the_meta_blobs_hold(tmp_path, name, text):
     blobs = state_blobs(make_state(tiny_cfg()))
     blobs[name] = text
     io.save_checkpoint(tmp_path / "bad.ckp", blobs)
-    with pytest.raises(ValueError, match=f"blob '{name}' must be a JSON "
-                                         f"{'integer' if name.endswith('/t') else '(object|list)'}"):
+    want = ("be a JSON integer" if name.endswith("/t")
+            else "hold a PCG64 state" if name.startswith("meta/rng/")
+            else "be a JSON (object|list)")
+    with pytest.raises(ValueError, match=f"blob '{name}' must {want}"):
         load_state(tmp_path / "bad.ckp")
+
+
+def test_load_state_takes_the_log_rows_a_run_writes():
+    # null and numeric entropy, an integer loss, and the pretrain round -1
+    blobs = state_blobs(make_state(tiny_cfg()))
+    log = [_ROW, {**_ROW, "phase": "val", "round": 0, "epoch": 2, "loss": 1, "entropy": -3}]
+    blobs["meta/log"] = json.dumps(log)
+    assert state_from_blobs(blobs).log == log
+
+
+def _same(a, b):
+    """Bit-for-bit equality of two values of TrainState fields."""
+    if isinstance(a, Adam):
+        return a.t == b.t and _same(a.m, b.m) and _same(a.v, b.v)
+    if isinstance(a, np.random.Generator):
+        return a.bit_generator.state == b.bit_generator.state
+    if hasattr(a, "parameters"):
+        return _same(dict(a.parameters()), dict(b.parameters()))
+    if isinstance(a, Tensor):
+        return _same(a.data, b.data)
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("mode, rounds", [("full", 0), ("full", 1), ("fixed-variance", 1)])
+def test_a_checkpoint_restores_every_state_field(mode, rounds):
+    # every field of a trained state comes back from its blobs, so a
+    # run-local cache kept on the state would fail here; a full run that
+    # ends in pretrain ends with its theta-only maps computed
+    exp = build_experiment(tiny_cfg(rounds=rounds), TINY_SPEC)
+    state = run_training(exp, mode=mode, fixed_g=0.3)
+    back = state_from_blobs(state_blobs(state))
+    for f in dataclasses.fields(TrainState):
+        assert _same(getattr(state, f.name), getattr(back, f.name)), f.name
 
 
 def test_load_state_names_missing_rng_stream(tmp_path):
@@ -970,7 +1027,7 @@ def test_load_state_names_missing_rng_stream(tmp_path):
 
 def test_checkpoint_without_gst(tmp_path):
     cfg = tiny_cfg()
-    state = make_state(cfg, with_gst=False)
+    state = make_state(cfg, "no-gst")
     save_state(state, tmp_path / "plain.ckp")
     loaded = load_state(tmp_path / "plain.ckp")
     assert loaded.phi is None and loaded.adam_phi is None
