@@ -27,9 +27,9 @@ def _read_config(args):
     text = ""
     if args.config is not None:
         try:
-            with open(args.config) as f:
+            with open(args.config, encoding="utf-8") as f:
                 text = f.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise io.ConfigError(f"cannot read config {args.config!r}: {e}") from None
     cfg, spec = harness.load_config(text)
     if args.seed is not None:
@@ -184,9 +184,8 @@ def _build_parser():
     q.add_argument(
         "--mode",
         default="full",
-        # fixed-variance needs its spread g0, which only `ablate` sets
-        choices=[m for m in REGIMES if m not in ("untrained", "fixed-variance")],
-        help="training regime",
+        choices=[m for m in REGIMES if m != "untrained"],
+        help="training regime; fixed-variance is spread 0, the mask-ensemble baseline",
     )
     q.add_argument(
         "--resume",

@@ -9,11 +9,11 @@ held-out masks.  Scenario kinds name the train/test mask relationship:
 * ``many-to-many`` train on a mask set, test on unseen masks.
 
 Ablations reuse the same bundle with the training regime swapped out:
-``no-gst`` (plain mask-ensemble training), ``no-bilevel`` (joint
-single-loop optimization of both networks on the training scenes),
-``fixed-variance`` (constant perturbation spread instead of the learned
-map), and ``prior-study`` (full method under each fabrication-error prior
-of ``_STUDY_PRIORS``, set through ``prior_mu`` and ``prior_sigma``).
+``no-bilevel`` (joint single-loop optimization of both networks on the
+training scenes), ``fixed-variance`` (mask-ensemble training under each
+constant spread of ``_STUDY_SPREADS``; spread 0 is the plain baseline), and
+``prior-study`` (full method under each fabrication-error prior of
+``_STUDY_PRIORS``, set through ``prior_mu`` and ``prior_sigma``).
 Every variant is one :func:`run_scenario` on its own config.  Its
 ``config.txt`` holds the config and the scenario, but not the regime:
 the mode, and a ``fixed-variance`` spread, live only in the
@@ -73,7 +73,8 @@ __all__ = [
 ]
 
 _KINDS = ("one-to-one", "one-to-many", "many-to-many")
-ABLATIONS = ("no-gst", "no-bilevel", "fixed-variance", "prior-study")
+ABLATIONS = ("no-bilevel", "fixed-variance", "prior-study")
+_STUDY_SPREADS = (0.0, 0.1)  # fixed-variance study; 0 is the mask-ensemble baseline
 # (prior_mu, prior_sigma) of the prior study: the default, wide, standard normal
 _STUDY_PRIORS = ((0.006, 0.005), (0.006, 0.1), (0.0, 1.0))
 
@@ -242,9 +243,9 @@ def build_experiment(cfg, spec):
 def run_training(exp, mode="full", fixed_g=0.0):
     """Train on an experiment bundle under one regime; returns the state.
 
-    Modes: "full" (pretrain + alternating bilevel), "no-gst" (the constant
-    spread 0), "no-bilevel", "fixed-variance" (uses ``fixed_g``, a finite
-    spread >= 0), "untrained" (fresh weights only).
+    Modes: "full" (pretrain + alternating bilevel), "no-bilevel",
+    "fixed-variance" (uses ``fixed_g``, a finite spread >= 0; the default 0
+    is the mask-ensemble baseline), "untrained" (fresh weights only).
     Epoch budgets of the controls match the full method's theta budget.
     The regime and the scenario are recorded in the state, so its
     checkpoint resumes in the one and can be checked against the other.
@@ -321,7 +322,7 @@ def run_scenario(cfg, spec, out_dir=None, mode="full", fixed_g=0.0):
     return state, report
 
 
-def run_ablation(kind, cfg, spec, out_dir=None, g0_values=(0.0, 0.1)):
+def run_ablation(kind, cfg, spec, out_dir=None):
     """Run one ablation family; returns {variant label: TrialReport}.
 
     Each variant is one :func:`run_scenario`, emitted to ``out_dir/<label>``.
@@ -329,7 +330,7 @@ def run_ablation(kind, cfg, spec, out_dir=None, g0_values=(0.0, 0.1)):
     if kind not in ABLATIONS:
         raise ValueError(f"unknown ablation {kind!r}; one of {ABLATIONS}")
     if kind == "fixed-variance":
-        variants = [(f"fixed-variance-g{g0:g}", cfg, kind, g0) for g0 in g0_values]
+        variants = [(f"fixed-variance-g{g0:g}", cfg, kind, g0) for g0 in _STUDY_SPREADS]
     elif kind == "prior-study":
         variants = [(f"prior-mu{mu:g}-sigma{sigma:g}",
                      replace(cfg, prior_mu=mu, prior_sigma=sigma), "full", 0.0)

@@ -95,6 +95,15 @@ class _Reader:
             )
 
 
+def _utf8(r, raw, what):
+    """``raw``, just taken from ``r``, as text; else a FormatError at its bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{r.what}: {what} is not utf-8 at offset "
+                          f"{r.pos - len(raw) + e.start}") from None
+
+
 def _check_magic(r, magic):
     got = r.take(len(magic), "magic")
     if got != magic:
@@ -222,7 +231,7 @@ def load_checkpoint(path):
     while r.pos < len(blob):
         start = r.pos
         nlen = r.u32("name length")
-        name = r.take(nlen, "name").decode("utf-8")
+        name = _utf8(r, r.take(nlen, "name"), "blob name")
         if name in out:
             raise FormatError(f"{r.what}: repeated blob {name!r} at offset {start}")
         kind = r.u8("kind")
@@ -236,7 +245,7 @@ def load_checkpoint(path):
             payload.done()
             out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
         elif kind == 1:
-            out[name] = payload.blob.decode("utf-8")
+            out[name] = _utf8(r, payload.blob, f"text payload of {name!r}")
         else:
             raise FormatError(
                 f"{r.what}: unknown blob kind {kind} for {name!r} "

@@ -186,30 +186,17 @@ class TrialReport:
     def add(self, scene, trial, psnr_db, ssim_value):
         self.rows.append((int(scene), int(trial), float(psnr_db), float(ssim_value)))
 
-    def _agg(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        return float(arr.mean()), float(arr.std())
-
     def aggregate(self):
         """{"overall": ..., "per_scene": {id: ...}} with mean/std (population)."""
         if not self.rows:
             raise ValueError("no rows to aggregate")
-        per_scene = {}
-        for scene in sorted({r[0] for r in self.rows}):
-            ps = [r[2] for r in self.rows if r[0] == scene]
-            ss = [r[3] for r in self.rows if r[0] == scene]
-            pm, psd = self._agg(ps)
-            sm, ssd = self._agg(ss)
-            per_scene[scene] = {
-                "psnr_mean": pm, "psnr_std": psd,
-                "ssim_mean": sm, "ssim_std": ssd,
-                "n": len(ps),
-            }
-        pm, psd = self._agg([r[2] for r in self.rows])
-        sm, ssd = self._agg([r[3] for r in self.rows])
-        overall = {
-            "psnr_mean": pm, "psnr_std": psd,
-            "ssim_mean": sm, "ssim_std": ssd,
-            "n": len(self.rows),
-        }
-        return {"overall": overall, "per_scene": per_scene}
+
+        def stats(rows):
+            p = np.asarray([r[2] for r in rows], dtype=np.float64)
+            s = np.asarray([r[3] for r in rows], dtype=np.float64)
+            return {"psnr_mean": float(p.mean()), "psnr_std": float(p.std()),
+                    "ssim_mean": float(s.mean()), "ssim_std": float(s.std()), "n": len(rows)}
+
+        per_scene = {scene: stats([r for r in self.rows if r[0] == scene])
+                     for scene in sorted({r[0] for r in self.rows})}
+        return {"overall": stats(self.rows), "per_scene": per_scene}

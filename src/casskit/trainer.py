@@ -13,7 +13,7 @@ row, all sharing one Monte-Carlo reconstruction loss:
 * ``no-bilevel`` warms up the same way, then steps theta and phi together
   on the training scenes, the single-loop control.
 * ``fixed-variance`` is mask-ensemble training of theta alone under a
-  constant perturbation spread; ``no-gst`` is the spread 0.
+  constant perturbation spread; at spread 0 it is the mask-ensemble baseline.
 * ``untrained`` keeps the fresh weights.
 
 Each part trains until its counter reaches the budget in the config, so
@@ -111,10 +111,7 @@ _RNG_ROLES = (
 )
 
 # training regime -> whether its state carries the deviation network phi
-REGIMES = {
-    "full": True, "no-gst": False, "no-bilevel": True,
-    "fixed-variance": False, "untrained": True,
-}
+REGIMES = {"full": True, "no-bilevel": True, "fixed-variance": False, "untrained": True}
 
 _REGIME = (f"a mode in {sorted(REGIMES)} and a fixed_g that is null, or under "
            f"fixed-variance a finite number >= 0")
@@ -465,9 +462,9 @@ def train_regime(state, train_scenes, val_scenes, masks):
     # train-mask index -> the theta-only epochs' g leaf: a control's constant
     # spread, or phi's frozen map, made on first use and dropped when phi moves
     frozen = {}
-    if mode in ("no-gst", "fixed-variance"):
-        g0 = state.regime["fixed_g"] if mode == "fixed-variance" else 0.0
-        frozen = {i: Tensor(np.full(_mask_values(m).shape, g0, dtype=np.float64))
+    if mode == "fixed-variance":
+        frozen = {i: Tensor(np.full(_mask_values(m).shape, state.regime["fixed_g"],
+                                    dtype=np.float64))
                   for i, m in enumerate(masks)}
 
     def lr(base, epoch):
@@ -494,7 +491,7 @@ def train_regime(state, train_scenes, val_scenes, masks):
         while state.epoch < budget:
             _epoch(state, train_scenes, masks, "joint",
                    lr_theta=lr(cfg.alpha1, state.epoch), lr_phi=lr(cfg.alpha2, state.epoch))
-    elif mode in ("no-gst", "fixed-variance"):
+    elif mode == "fixed-variance":
         while state.epoch < budget:
             _epoch(state, train_scenes, masks, "baseline",
                    lr_theta=lr(cfg.alpha1, state.epoch), frozen=frozen)
@@ -574,16 +571,18 @@ def _load_into(dest, blobs, name):
     dest[...] = arr
 
 
-# what every row of a checkpoint's loss log must be; JSON booleans are no numbers
-_LOG_ROW = ("objects with a string phase, integer round and epoch, a number loss and "
-            "a number or null entropy")
+# what every row of a checkpoint's loss log must be; JSON booleans are no numbers,
+# and json reads the NaN and Infinity that a real run never logs
+_LOG_ROW = ("objects with a string phase, integer round and epoch, a finite number loss "
+            "and a finite number or null entropy")
 
 
 def _log_row(row):
+    finite = lambda x: type(x) is int or type(x) is float and math.isfinite(x)  # noqa: E731
     return (isinstance(row, dict) and type(row.get("phase")) is str
             and all(type(row.get(k)) is int for k in ("round", "epoch"))
-            and type(row.get("loss")) in (int, float)
-            and type(row.get("entropy", "")) in (int, float, type(None)))
+            and finite(row.get("loss")) and "entropy" in row
+            and (row["entropy"] is None or finite(row["entropy"])))
 
 
 def state_from_blobs(blobs):
@@ -615,7 +614,12 @@ def state_from_blobs(blobs):
         name = f"meta/rng/{role}"
         text = _blob(blobs, name, str)
         try:
-            gen.bit_generator.state = json.loads(text)
+            value = json.loads(text)
+            # numpy truncates a float or a boolean counter without a word
+            if any(type(v) is not int for v in (value["state"]["state"], value["state"]["inc"],
+                                                value["has_uint32"], value["uinteger"])):
+                raise ValueError("state, inc, has_uint32 and uinteger must be JSON integers")
+            gen.bit_generator.state = value
         except (TypeError, KeyError, ValueError, OverflowError) as e:
             raise ValueError(f"checkpoint blob {name!r} must hold a PCG64 state "
                              f"({type(e).__name__}: {e})") from None

@@ -186,12 +186,12 @@ def trained_seeds():
         t0 = time.perf_counter()
         full = run_training(exp, mode="full")
         full_s = time.perf_counter() - t0
-        base = run_training(exp, mode="no-gst")
+        base = run_training(exp, mode="fixed-variance")
         fresh = run_training(exp, mode="untrained")
         t1 = time.perf_counter()
         psnr_full = evaluate(full, exp, "full").aggregate()["overall"]["psnr_mean"]
         eval_s = time.perf_counter() - t1
-        psnr_base = evaluate(base, exp, "no-gst").aggregate()["overall"]["psnr_mean"]
+        psnr_base = evaluate(base, exp, "fixed-variance").aggregate()["overall"]["psnr_mean"]
         psnr_fresh = (
             evaluate(fresh, exp, "untrained").aggregate()["overall"]["psnr_mean"]
         )

@@ -7,12 +7,14 @@ reconstruction quality.
 
 import json
 import re
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from casskit.cli import main
+from casskit.cli import _build_parser, main
 from casskit.harness import (
     ABLATIONS,
     ScenarioSpec,
@@ -224,7 +226,7 @@ def test_run_training_budgets_and_modes():
     phases = {row["phase"] for row in full.log}
     assert phases == {"pretrain", "train", "val"}
 
-    ensemble = run_training(exp, mode="no-gst")
+    ensemble = run_training(exp, mode="fixed-variance")
     assert ensemble.phi is None
     assert ensemble.epoch == cfg.t_init + cfg.rounds * cfg.t_trn
 
@@ -315,14 +317,11 @@ def test_run_scenario_refuses_scenes_below_the_ssim_window_before_training(monke
         with pytest.raises(ValueError, match=f"{h}x{w} are smaller than the 11x11 ssim"):
             run_scenario(tiny_cfg(), spec)
         with pytest.raises(ValueError, match="11x11 ssim"):
-            run_ablation("no-gst", tiny_cfg(), spec)
+            run_ablation("no-bilevel", tiny_cfg(), spec)
 
 
 def test_run_ablation_fixed_variance_labels(tmp_path):
-    results = run_ablation(
-        "fixed-variance", tiny_cfg(), tiny_spec(),
-        out_dir=tmp_path, g0_values=(0.0, 0.1),
-    )
+    results = run_ablation("fixed-variance", tiny_cfg(), tiny_spec(), out_dir=tmp_path)
     assert set(results) == {"fixed-variance-g0", "fixed-variance-g0.1"}
     for label, report in results.items():
         assert len(report.rows) == 2
@@ -465,9 +464,18 @@ def test_cli_uncertainty(cli_env, tmp_path, capsys):
     assert "variance mean" in capsys.readouterr().out
 
 
+def _same_blobs(got, want, what):
+    assert set(got) == set(want), what
+    for k, v in want.items():
+        if isinstance(v, np.ndarray):
+            np.testing.assert_array_equal(got[k], v, err_msg=f"{what} {k}")
+        else:
+            assert got[k] == v, (what, k)
+
+
 def _train(cfg_path, mode, out_dir):
     """Train like ``casskit train --mode``; fixed-variance, which the CLI
-    cannot start, is trained at the spread 0.3 through the library."""
+    trains at the spread 0 only, is trained at 0.3 through the library."""
     if mode != "fixed-variance":
         assert main(["train", "--config", str(cfg_path), "--mode", mode,
                      "--out-dir", str(out_dir)]) == 0
@@ -482,7 +490,7 @@ def _train(cfg_path, mode, out_dir):
 def test_cli_train_resume_of_finished_run_is_a_noop(cli_env, tmp_path):
     # each checkpoint resumes in its own regime; --mode is not repeated
     cfg = str(cli_env["cfg"])
-    for mode in ("full", "no-gst", "no-bilevel", "fixed-variance"):
+    for mode in ("full", "no-bilevel", "fixed-variance"):
         done, more = tmp_path / mode / "done", tmp_path / mode / "more"
         _train(cfg, mode, done)
         first = load_checkpoint(done / "checkpoint.ckp")
@@ -490,13 +498,32 @@ def test_cli_train_resume_of_finished_run_is_a_noop(cli_env, tmp_path):
         rc = main(["train", "--config", cfg, "--resume", str(done / "checkpoint.ckp"),
                    "--out-dir", str(more)])
         assert rc == 0, mode
-        second = load_checkpoint(more / "checkpoint.ckp")
-        assert set(second) == set(first), mode
-        for k, v in first.items():
-            if isinstance(v, np.ndarray):
-                np.testing.assert_array_equal(second[k], v, err_msg=f"{mode} {k}")
-            else:
-                assert second[k] == v, (mode, k)
+        _same_blobs(load_checkpoint(more / "checkpoint.ckp"), first, mode)
+
+
+def test_cli_train_fixed_variance_is_the_zero_spread_baseline(cli_env, tmp_path, capsys):
+    # `train --mode fixed-variance` writes the mask-ensemble baseline, spread 0,
+    # in one step, and its --resume changes nothing; a checkpoint of the removed
+    # no-gst regime is refused by its meta/regime blob
+    cfg = str(cli_env["cfg"])
+    done, more = tmp_path / "done", tmp_path / "more"
+    assert main(["train", "--config", cfg, "--mode", "fixed-variance",
+                 "--out-dir", str(done)]) == 0
+    first = load_checkpoint(done / "checkpoint.ckp")
+    assert json.loads(first["meta/regime"]) == {"fixed_g": 0.0, "mode": "fixed-variance"}
+    with open(cfg) as f:
+        exp = build_experiment(*load_config(f.read()))
+    _same_blobs(first, state_blobs(run_training(exp, "fixed-variance")), "library")
+    assert main(["train", "--config", cfg, "--resume", str(done / "checkpoint.ckp"),
+                 "--out-dir", str(more)]) == 0
+    _same_blobs(load_checkpoint(more / "checkpoint.ckp"), first, "resume")
+    old = tmp_path / "old.ckp"
+    save_checkpoint(old, {**first, "meta/regime": '{"fixed_g": null, "mode": "no-gst"}'})
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--checkpoint", str(old),
+                 "--out-dir", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert "'meta/regime'" in err and "fixed-variance" in err
 
 
 def test_cli_train_resume_without_regime_names_the_blob(cli_env, tmp_path, capsys):
@@ -541,8 +568,8 @@ def test_cli_eval_names_a_missing_or_mistyped_blob(cli_env, tmp_path, capsys):
             ("meta/rng/eps", '{"bit_generator": "PCG64"}', None),
             ("meta/rng/eps", json.dumps(_MT19937), None),
             ("phi/", None, None),
-            ("meta/regime", '{"mode": "no-gst", "fixed_g": null}',
-             "'no-gst' regime, which trains without the phi/ blobs")):
+            ("meta/regime", '{"mode": "fixed-variance", "fixed_g": 0.0}',
+             "'fixed-variance' regime, which trains without the phi/ blobs")):
         blobs = load_checkpoint(cli_env["train"] / "checkpoint.ckp")
         if name == "phi/":  # a full checkpoint without its deviation network
             blobs = {k: v for k, v in blobs.items() if not k.startswith(("phi/", "opt_phi/"))}
@@ -617,22 +644,16 @@ def test_cli_train_resume_extends_rounds(tmp_path):
     # straight 3-round run ends, in every regime
     one = _write_cfg(tmp_path / "r1.cfg", rounds=1)
     three = _write_cfg(tmp_path / "r3.cfg", rounds=3)
-    for mode in ("full", "no-gst", "no-bilevel", "fixed-variance"):
+    for mode in ("full", "no-bilevel", "fixed-variance"):
         short, longer, straight = (tmp_path / mode / n for n in ("short", "longer", "straight"))
         _train(one, mode, short)
         _train(three, mode, straight)
         rc = main(["train", "--config", three, "--resume", str(short / "checkpoint.ckp"),
                    "--out-dir", str(longer)])
         assert rc == 0, mode
-        want = load_checkpoint(straight / "checkpoint.ckp")
         got = load_checkpoint(longer / "checkpoint.ckp")
-        assert set(got) == set(want), mode
         assert got["meta/counters"] != load_checkpoint(short / "checkpoint.ckp")["meta/counters"]
-        for k, v in want.items():
-            if isinstance(v, np.ndarray):
-                np.testing.assert_array_equal(got[k], v, err_msg=f"{mode} {k}")
-            else:
-                assert got[k] == v, (mode, k)
+        _same_blobs(got, load_checkpoint(straight / "checkpoint.ckp"), mode)
 
 
 def test_cli_train_resume_rejects_fewer_rounds(tmp_path, capsys):
@@ -683,27 +704,42 @@ def test_cli_ablate(tmp_path, capsys):
     cfg_path.write_text(run_config_text(tiny_cfg(), tiny_spec()))
     out = tmp_path / "abl"
     rc = main([
-        "ablate", "--kind", "no-gst", "--config", str(cfg_path),
+        "ablate", "--kind", "no-bilevel", "--config", str(cfg_path),
         "--out-dir", str(out),
     ])
     assert rc == 0
-    assert "no-gst" in capsys.readouterr().out
-    assert (out / "no-gst" / "summary.csv").is_file()
+    assert "no-bilevel" in capsys.readouterr().out
+    assert (out / "no-bilevel" / "summary.csv").is_file()
 
 
 def test_cli_choices_are_the_librarys(capsys):
-    # fixed-variance needs a spread g0, so `ablate` alone starts it
+    # `train` offers fixed-variance at its spread 0; the removed no-gst is refused
     for argv, choices in (
-        (["train", "--help"], [m for m in REGIMES if m not in ("untrained", "fixed-variance")]),
+        (["train", "--help"], [m for m in REGIMES if m != "untrained"]),
         (["ablate", "--help"], ABLATIONS),
     ):
         with pytest.raises(SystemExit):
             main(argv)
         assert "{" + ",".join(choices) + "}" in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exit_:
-        main(["train", "--mode", "fixed-variance"])
-    assert exit_.value.code == 2
-    assert "invalid choice: 'fixed-variance'" in capsys.readouterr().err
+    for argv in (["train", "--mode", "no-gst"], ["ablate", "--kind", "no-gst"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "invalid choice: 'no-gst'" in capsys.readouterr().err
+
+
+def test_readme_commands_parse(capsys):
+    # a CLI choice or option that goes cannot stay in the README's examples
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("casskit ")]
+    assert len(lines) >= 6
+    parser = _build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
 
 
 def test_cli_gradcheck_quick(capsys):
@@ -740,6 +776,19 @@ def test_cli_names_a_negative_seed(tmp_path, capsys, config_seed, flag, want):
     assert rc == 2
     assert f"seed must be >= 0, got {want}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_names_the_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\nseed=1\n")
+    assert main(["gen-masks", "--config", str(cfg), "--out-dir", str(tmp_path / "m")]) == 2
+    assert f"cannot read config {str(cfg)!r}" in capsys.readouterr().err
+    ckpt = tmp_path / "bad.ckp"
+    save_checkpoint(ckpt, {"meta/config": "\xff"})  # one text blob
+    ckpt.write_bytes(ckpt.read_bytes().replace("\xff".encode("utf-8"), b"\xff\xff"))
+    assert main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "e")]) == 2
+    assert (f"checkpoint file {ckpt}: text payload of 'meta/config' is not utf-8 at offset 32"
+            in capsys.readouterr().err)
 
 
 def test_cli_corrupt_checkpoint(tmp_path, capsys):

@@ -229,6 +229,20 @@ def test_checkpoint_rejects_a_repeated_blob_name(tmp_path):
         load_checkpoint(p)
 
 
+@pytest.mark.parametrize("name, text, what, offset", [
+    (b"\xffa", b"x", "blob name", 12),
+    (b"a", b"ok\xff", "text payload of 'a'", 24),
+])
+def test_checkpoint_names_the_offset_of_bytes_that_are_not_utf8(tmp_path, name, text,
+                                                                 what, offset):
+    body = (struct.pack("<I", len(name)) + name + struct.pack("<B", 1)
+            + struct.pack("<Q", len(text)) + text)
+    p = tmp_path / "c.ckp"
+    p.write_bytes(MAGIC_CKPT + struct.pack("<I", CKPT_VERSION) + body)
+    with pytest.raises(FormatError, match=f"{what} is not utf-8 at offset {offset}$"):
+        load_checkpoint(p)
+
+
 def test_checkpoint_truncated_payload(tmp_path):
     # entry declares a 5-element vector but carries only one value
     inner = struct.pack("<B", 1) + struct.pack("<I", 5) + b"\0" * 8

@@ -46,6 +46,13 @@ _MT19937 = json.dumps({**np.random.MT19937(0).state, "state": {
     "key": np.random.MT19937(0).state["state"]["key"].tolist(), "pos": 624}})
 
 
+def _pcg64(**counters):
+    """A PCG64 state blob with some of state, inc, has_uint32 and uinteger replaced."""
+    real = np.random.PCG64(0).state
+    inner = {k: counters.pop(k, v) for k, v in real["state"].items()}
+    return json.dumps({**real, **counters, "state": inner})
+
+
 def tiny_cfg(**kw):
     base = dict(
         bands=2, d=1, backbone_channels=4, backbone_blocks=1,
@@ -132,8 +139,6 @@ def test_every_regime_runs_its_schedule(monkeypatch):
         "no-bilevel": pre
         + [("joint", -1, a1 / 2, a2 / 2, None, False)] * 2
         + [("joint", -1, a1 / 4, a2 / 4, None, False)] * 2,
-        "no-gst": [("baseline", -1, a1 / 2**(e // 2), None, 0.0, True)
-                   for e in range(6)],
         "fixed-variance": [("baseline", -1, a1 / 2**(e // 2), None, 0.2, True)
                            for e in range(6)],
         "untrained": [],
@@ -145,23 +150,12 @@ def test_every_regime_runs_its_schedule(monkeypatch):
         assert state.epoch == len(sequence), mode
 
 
-def test_no_gst_is_the_zero_spread():
-    # the unperturbed baseline and the constant spread 0 train alike and
-    # draw alike; only the recorded regime tells their checkpoints apart
-    exp = build_experiment(tiny_cfg(noise_std=0.01, rounds=2), TINY_SPEC)
-    a = state_blobs(run_training(exp, mode="no-gst"))
-    b = state_blobs(run_training(exp, mode="fixed-variance", fixed_g=0.0))
-    assert set(a) == set(b)
-    differ = [k for k, v in a.items()
-              if not (np.array_equal(v, b[k]) if isinstance(v, np.ndarray) else v == b[k])]
-    assert differ == ["meta/regime"]
-
-
-@pytest.mark.parametrize("mode", ["full", "no-bilevel", "no-gst", "fixed-variance"])
+@pytest.mark.parametrize("mode", ["full", "no-bilevel", "fixed-variance"])
 def test_regime_and_networks_must_agree_before_any_epoch(mode):
     # a checkpoint whose regime needs phi but holds none, or holds a phi
     # its regime never reads, is refused at load, so it cannot train an epoch
-    blobs = state_blobs(make_state(tiny_cfg(), "no-gst" if REGIMES[mode] else "full"))
+    blobs = state_blobs(make_state(tiny_cfg(), "fixed-variance", 0.0) if REGIMES[mode]
+                        else make_state(tiny_cfg()))
     g0 = 0.1 if mode == "fixed-variance" else None
     blobs["meta/regime"] = json.dumps({"mode": mode, "fixed_g": g0})
     want = ("lacks the 'phi/" if REGIMES[mode]
@@ -313,7 +307,7 @@ def test_adam_diverged_step_after_steps_names_the_parameter_and_moves_nothing():
 
 
 def test_a_trained_state_holds_no_gradient_buffers():
-    for mode in ("full", "no-gst"):
+    for mode in ("full", "fixed-variance"):
         state = run_training(build_experiment(tiny_cfg(rounds=1), TINY_SPEC), mode=mode)
         nets = [state.theta] + ([state.phi] if state.phi is not None else [])
         assert all(t._grad is None for net in nets for _, t in net.parameters()), mode
@@ -666,7 +660,7 @@ def test_full_theta_matches_no_gst_baseline_when_masks_are_unperturbed(monkeypat
     cfg = tiny_cfg(lr_halve_period=2, t_trn=2, t_val=2, rounds=3)
     exp = build_experiment(cfg, TINY_SPEC)
     full = run_training(exp, mode="full")
-    base = run_training(exp, mode="no-gst")
+    base = run_training(exp, mode="fixed-variance")
     assert full.epoch == cfg.t_init + cfg.rounds * (cfg.t_trn + cfg.t_val)
     assert base.epoch == cfg.t_init + cfg.rounds * cfg.t_trn
     for (n, tf), (_, tb) in zip(full.theta.parameters(), base.theta.parameters()):
@@ -705,9 +699,9 @@ def test_noise_std_alone_sets_training_noise():
     # noise_std > 0 is the whole switch for training measurement noise;
     # 0 draws nothing, so the noise stream stays at its seeded state
     exp = build_experiment(tiny_cfg(), TINY_SPEC)
-    quiet = run_training(exp, mode="no-gst")
+    quiet = run_training(exp, mode="fixed-variance")
     loud = run_training(dataclasses.replace(exp, cfg=tiny_cfg(noise_std=0.01)),
-                        mode="no-gst")
+                        mode="fixed-variance")
     assert (quiet.rngs["noise"].bit_generator.state
             == make_state(tiny_cfg()).rngs["noise"].bit_generator.state)
     assert (loud.rngs["noise"].bit_generator.state
@@ -732,7 +726,7 @@ def test_make_state_needs_positive_prior_sigma_for_gst():
     cfg = tiny_cfg(prior_sigma=0.0)
     with pytest.raises(ValueError, match="prior_sigma"):
         make_state(cfg)
-    assert make_state(cfg, "no-gst").phi is None
+    assert make_state(cfg, "fixed-variance", 0.0).phi is None
     build_experiment(cfg, TINY_SPEC)  # a noiseless fabrication prior stays legal
 
 
@@ -832,13 +826,14 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert straight.log == resumed.log
 
 
-def test_no_gst_resume_matches_uninterrupted_run(tmp_path):
+def test_zero_spread_resume_matches_uninterrupted_run(tmp_path):
+    # the mask-ensemble baseline, fixed-variance at spread 0, resumes bit-exact
     cfg = tiny_cfg(rounds=3)
     exp = build_experiment(cfg, TINY_SPEC)
-    straight = run_training(exp, mode="no-gst")
+    straight = run_training(exp, mode="fixed-variance")
 
     short = dataclasses.replace(exp, cfg=dataclasses.replace(cfg, rounds=1))
-    part = run_training(short, mode="no-gst")
+    part = run_training(short, mode="fixed-variance")
     assert 0 < part.epoch < straight.epoch
     save_state(part, tmp_path / "mid.ckp")
     resumed = load_state(tmp_path / "mid.ckp")
@@ -950,7 +945,7 @@ def test_load_state_checks_the_shape_of_each_moment_blob(tmp_path, name, shape):
     ("meta/regime", '{"mode": "fixed-variance", "fixed_g": -0.5}'),
     ("meta/regime", '{"mode": "fixed-variance", "fixed_g": true}'),
     ("meta/regime", '{"mode": "fixed-variance"}'),
-    ("meta/regime", '{"mode": "no-gst", "fixed_g": 3.0}'),
+    ("meta/regime", '{"mode": "no-gst", "fixed_g": null}'),  # a regime since removed
     ("meta/regime", '{"mode": "full", "fixed_g": 0.0}'),
     ("opt_theta/t", "[]"), ("opt_theta/t", "-3"), ("opt_theta/t", "2.5"),
     ("opt_theta/t", '"4"'), ("opt_phi/t", "-1"), ("opt_phi/t", "true"),
@@ -961,9 +956,16 @@ def test_load_state_checks_the_shape_of_each_moment_blob(tmp_path, name, shape):
     ("meta/log", json.dumps([{**_ROW, "round": 0.0}])),
     ("meta/log", json.dumps([{**_ROW, "epoch": False}])),
     ("meta/log", json.dumps([{**_ROW, "entropy": "0.1"}])),
+    ("meta/log", json.dumps([{**_ROW, "loss": float("nan")}])),
+    ("meta/log", json.dumps([{**_ROW, "loss": -float("inf")}])),
+    ("meta/log", json.dumps([{**_ROW, "entropy": float("inf")}])),
     ("meta/log", json.dumps([{k: v for k, v in _ROW.items() if k != "entropy"}])),
     ("meta/rng/eps", "[]"), ("meta/rng/eps", '{"bit_generator": "PCG64"}'),
     ("meta/rng/phi_noise", _MT19937), ("meta/rng/order", "{"),
+    # numpy would truncate each of these counters to an integer without a word
+    ("meta/rng/eps", _pcg64(state=1.5)), ("meta/rng/eps", _pcg64(state=2**64 + 0.5)),
+    ("meta/rng/eps", _pcg64(state=True)), ("meta/rng/mask", _pcg64(inc=3.0)),
+    ("meta/rng/noise", _pcg64(has_uint32=True)), ("meta/rng/order", _pcg64(uinteger=0.5)),
 ])
 def test_load_state_checks_what_the_meta_blobs_hold(tmp_path, name, text):
     from casskit import io
@@ -1027,7 +1029,7 @@ def test_load_state_names_missing_rng_stream(tmp_path):
 
 def test_checkpoint_without_gst(tmp_path):
     cfg = tiny_cfg()
-    state = make_state(cfg, "no-gst")
+    state = make_state(cfg, "fixed-variance", 0.0)
     save_state(state, tmp_path / "plain.ckp")
     loaded = load_state(tmp_path / "plain.ckp")
     assert loaded.phi is None and loaded.adam_phi is None
