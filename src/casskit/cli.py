@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import harness, io
-from .trainer import REGIMES, config_text, load_state, save_state, train_regime
+from .trainer import REGIMES, config_text, load_state, train_regime
 
 __all__ = ["main"]
 
@@ -66,7 +66,7 @@ def _check_resume_config(cfg, spec, state):
             "--resume: the checkpoint records no scenario; it needs the "
             "'meta/scenario' blob"
         )
-    ours = io.parse_config(harness.run_config_text(cfg, spec))
+    ours = io.parse_config(config_text(cfg, spec))
     theirs = io.parse_config(config_text(state.cfg) + state.scenario)
     keys = sorted(
         k for k in ours
@@ -110,11 +110,7 @@ def _cmd_train(args):
         train_regime(state, exp.train_scenes, exp.val_scenes, exp.train_masks)
     else:
         state = harness.run_training(exp, mode=args.mode)
-    os.makedirs(args.out_dir, exist_ok=True)
-    save_state(state, os.path.join(args.out_dir, "checkpoint.ckp"))
-    io.write_loss_log_csv(os.path.join(args.out_dir, "loss_log.csv"), state.log)
-    with open(os.path.join(args.out_dir, "config.txt"), "w", newline="") as f:
-        f.write(harness.run_config_text(cfg, spec))
+    harness.write_run(args.out_dir, exp, state)
     last = state.log[-1]["loss"] if state.log else float("nan")
     print(f"trained to epoch {state.epoch} (round {state.round}); last loss {last:.6g}")
     print(f"checkpoint: {os.path.join(args.out_dir, 'checkpoint.ckp')}")
@@ -127,9 +123,7 @@ def _cmd_eval(args):
     _check_optics(cfg, state)
     exp = harness.build_experiment(cfg, spec)
     report = harness.evaluate(state, exp, spec.kind)
-    os.makedirs(args.out_dir, exist_ok=True)
-    io.write_metrics_csv(os.path.join(args.out_dir, "metrics.csv"), report.rows)
-    harness.write_summary(os.path.join(args.out_dir, "summary.csv"), report)
+    harness.write_report(args.out_dir, report)
     agg = report.aggregate()["overall"]
     print(
         f"{len(report.rows)} rows; psnr {agg['psnr_mean']:.3f} dB "

@@ -27,7 +27,7 @@ uncertainty maps as PGM images plus raw cube dumps.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,9 +66,10 @@ __all__ = [
     "run_ablation",
     "uncertainty_maps",
     "load_config",
-    "run_config_text",
     "write_summary",
     "write_masks",
+    "write_run",
+    "write_report",
     "run_gradient_suite",
 ]
 
@@ -108,7 +109,7 @@ class ScenarioSpec:
     eval_noise_std: float = 0.0
 
     def validate(self):
-        io.check_finite_fields(self)
+        io.check_fields(self)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; one of {_KINDS}")
         if min(self.scene_h, self.scene_w) < 4:
@@ -147,21 +148,10 @@ class ScenarioSpec:
 def load_config(text):
     """One flat config file -> (TrainConfig, ScenarioSpec).
 
-    Keys are routed to whichever dataclass declares them; anything left
-    over raises :class:`casskit.io.ConfigError`.
+    Keys are routed to whichever dataclass declares them; a key neither
+    declares raises :class:`casskit.io.ConfigError`.
     """
-    items = io.parse_config(text)
-    used = set()
-    cfg = io.coerce_dataclass(items, TrainConfig, used=used)
-    spec = io.coerce_dataclass(items, ScenarioSpec, used=used)
-    leftover = sorted(set(items) - used)
-    if leftover:
-        valid = sorted(
-            {f.name for f in fields(TrainConfig)} | {f.name for f in fields(ScenarioSpec)}
-        )
-        raise io.ConfigError(
-            f"unknown config keys: {', '.join(leftover)}; valid keys: {', '.join(valid)}"
-        )
+    cfg, spec = io.coerce_dataclass(io.parse_config(text), TrainConfig, ScenarioSpec)
     cfg.validate()
     spec.validate()
     return cfg, spec
@@ -273,18 +263,11 @@ def evaluate(state, exp, label):
 
 def write_summary(path, report):
     agg = report.aggregate()
-    with open(path, "w", newline="") as f:
-        f.write("scope,psnr_mean,psnr_std,ssim_mean,ssim_std,n\n")
-        o = agg["overall"]
-        f.write(
-            f"overall,{o['psnr_mean']:.9f},{o['psnr_std']:.9f},"
-            f"{o['ssim_mean']:.9f},{o['ssim_std']:.9f},{o['n']}\n"
-        )
-        for scene, s in agg["per_scene"].items():
-            f.write(
-                f"scene{scene},{s['psnr_mean']:.9f},{s['psnr_std']:.9f},"
-                f"{s['ssim_mean']:.9f},{s['ssim_std']:.9f},{s['n']}\n"
-            )
+    scopes = [("overall", agg["overall"])]
+    scopes += [(f"scene{scene}", s) for scene, s in agg["per_scene"].items()]
+    io.write_csv(path, "scope,psnr_mean,psnr_std,ssim_mean,ssim_std,n",
+                 ((scope, s["psnr_mean"], s["psnr_std"], s["ssim_mean"], s["ssim_std"], s["n"])
+                  for scope, s in scopes))
 
 
 def write_masks(mask_dir, exp):
@@ -295,20 +278,20 @@ def write_masks(mask_dir, exp):
             io.save_mask(os.path.join(mask_dir, f"{role}_{i:02d}.msk"), m.values)
 
 
-def _emit(out_dir, exp, state, report):
-    write_masks(os.path.join(out_dir, "masks"), exp)
+def write_run(out_dir, exp, state):
+    """Write a trained run: ``config.txt``, ``checkpoint.ckp`` and ``loss_log.csv``."""
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.txt"), "w", newline="") as f:
-        f.write(run_config_text(exp.cfg, exp.spec))
+        f.write(config_text(exp.cfg, exp.spec))
     save_state(state, os.path.join(out_dir, "checkpoint.ckp"))
     io.write_loss_log_csv(os.path.join(out_dir, "loss_log.csv"), state.log)
+
+
+def write_report(out_dir, report):
+    """Write a scored run: ``metrics.csv`` and ``summary.csv``."""
+    os.makedirs(out_dir, exist_ok=True)
     io.write_metrics_csv(os.path.join(out_dir, "metrics.csv"), report.rows)
     write_summary(os.path.join(out_dir, "summary.csv"), report)
-
-
-def run_config_text(cfg, spec):
-    d = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    d.update({f.name: getattr(spec, f.name) for f in fields(spec)})
-    return io.format_config(d)
 
 
 def run_scenario(cfg, spec, out_dir=None, mode="full", fixed_g=0.0):
@@ -318,7 +301,9 @@ def run_scenario(cfg, spec, out_dir=None, mode="full", fixed_g=0.0):
     state = run_training(exp, mode=mode, fixed_g=fixed_g)
     report = evaluate(state, exp, f"{spec.kind}/{mode}")
     if out_dir is not None:
-        _emit(out_dir, exp, state, report)
+        write_masks(os.path.join(out_dir, "masks"), exp)
+        write_run(out_dir, exp, state)
+        write_report(out_dir, report)
     return state, report
 
 
@@ -359,27 +344,21 @@ def uncertainty_maps(state, exp, out_dir=None):
 
     cfg = exp.cfg
     out = []
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     for scene_id, x in enumerate(exp.test_scenes):
         var, mean = epistemic_map(model, x, list(exp.test_masks), cfg.d)
         out.append((var, mean))
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
             io.save_cube(os.path.join(out_dir, f"scene{scene_id}_variance.hsc"), var)
             io.save_cube(os.path.join(out_dir, f"scene{scene_id}_mean.hsc"), mean)
-            for band in range(var.shape[2]):
-                io.write_pgm(
-                    os.path.join(out_dir, f"scene{scene_id}_var_band{band:02d}.pgm"),
-                    var[:, :, band],
-                )
-            with open(
-                os.path.join(out_dir, f"scene{scene_id}_stats.csv"), "w", newline=""
-            ) as f:
-                f.write("band,var_min,var_max,var_mean\n")
-                for band in range(var.shape[2]):
-                    vb = var[:, :, band]
-                    f.write(
-                        f"{band},{vb.min():.12g},{vb.max():.12g},{vb.mean():.12g}\n"
-                    )
+            bands = np.moveaxis(var, 2, 0)
+            for band, vb in enumerate(bands):
+                io.write_pgm(os.path.join(out_dir, f"scene{scene_id}_var_band{band:02d}.pgm"), vb)
+            io.write_csv(os.path.join(out_dir, f"scene{scene_id}_stats.csv"),
+                         "band,var_min,var_max,var_mean",
+                         ((band, f"{vb.min():.12g}", f"{vb.max():.12g}", f"{vb.mean():.12g}")
+                          for band, vb in enumerate(bands)))
     return out
 
 

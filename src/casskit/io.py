@@ -14,7 +14,8 @@ Cube and mask payloads are float32: plenty for [0, 1] image data, half
 the disk.  Loaders check magic, dimension sanity, and exact payload
 length and raise :class:`FormatError` naming the byte offset otherwise.
 
-Config files are flat ``key=value`` lines; ``#`` starts a comment.
+Config files are flat ``key=value`` lines; ``#`` starts a comment.  Every
+CSV goes through :func:`write_csv`: floats at 9 decimals, ``inf``/``nan`` spelled out.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ __all__ = [
     "parse_config",
     "format_config",
     "coerce_dataclass",
-    "check_finite_fields",
+    "check_fields",
+    "write_csv",
     "write_metrics_csv",
     "write_loss_log_csv",
     "write_histogram_csv",
@@ -128,36 +130,38 @@ def _check_dims(r, dims):
     return total
 
 
+def _save_f32(path, magic, dims, planes):
+    """Magic, u32 ``dims``, then ``planes`` in C order as little-endian float32."""
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack(f"<{len(dims)}I", *dims))
+        f.write(np.ascontiguousarray(planes, dtype="<f4").tobytes())
+
+
+def _load_f32(path, what, magic, dim_names):
+    """(dims, flat float64 payload) of a magic, u32-dims, float32 file."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    r = _Reader(blob, f"{what} file {path!s}")
+    _check_magic(r, magic)
+    dims = tuple(r.u32(name) for name in dim_names)
+    raw = r.take(_check_dims(r, dims) * 4, "pixel data")
+    r.done()
+    return dims, np.frombuffer(raw, dtype="<f4").astype(np.float64)
+
+
 def save_cube(path, values):
     """Write an H x W x bands array as a cube file (float32 planes)."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 3:
         raise ValueError(f"cube must be 3-D, got shape {v.shape}")
-    h, w, bands = v.shape
-    with open(path, "wb") as f:
-        f.write(MAGIC_CUBE)
-        f.write(struct.pack("<III", h, w, bands))
-        for c in range(bands):
-            f.write(np.ascontiguousarray(v[:, :, c], dtype="<f4").tobytes())
+    _save_f32(path, MAGIC_CUBE, v.shape, np.moveaxis(v, 2, 0))
 
 
 def load_cube(path):
     """Read a cube file back as an H x W x bands float64 array."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    r = _Reader(blob, f"cube file {path!s}")
-    _check_magic(r, MAGIC_CUBE)
-    h = r.u32("height")
-    w = r.u32("width")
-    bands = r.u32("band count")
-    total = _check_dims(r, (h, w, bands))
-    raw = r.take(total * 4, "pixel data")
-    r.done()
-    planes = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    out = np.empty((h, w, bands))
-    for c in range(bands):
-        out[:, :, c] = planes[c * h * w : (c + 1) * h * w].reshape(h, w)
-    return out
+    (h, w, bands), flat = _load_f32(path, "cube", MAGIC_CUBE, ("height", "width", "band count"))
+    return np.ascontiguousarray(np.moveaxis(flat.reshape(bands, h, w), 0, 2))
 
 
 def save_mask(path, values):
@@ -165,25 +169,13 @@ def save_mask(path, values):
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"mask must be 2-D, got shape {v.shape}")
-    h, w = v.shape
-    with open(path, "wb") as f:
-        f.write(MAGIC_MASK)
-        f.write(struct.pack("<II", h, w))
-        f.write(np.ascontiguousarray(v, dtype="<f4").tobytes())
+    _save_f32(path, MAGIC_MASK, v.shape, v)
 
 
 def load_mask(path):
     """Read a mask file back as an H x W float64 array."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    r = _Reader(blob, f"mask file {path!s}")
-    _check_magic(r, MAGIC_MASK)
-    h = r.u32("height")
-    w = r.u32("width")
-    total = _check_dims(r, (h, w))
-    raw = r.take(total * 4, "pixel data")
-    r.done()
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(h, w)
+    dims, flat = _load_f32(path, "mask", MAGIC_MASK, ("height", "width"))
+    return flat.reshape(dims)
 
 
 def save_checkpoint(path, blobs):
@@ -285,85 +277,72 @@ def format_config(d):
     return "\n".join(lines) + "\n"
 
 
-def coerce_dataclass(items, cls, *, used=None):
-    """Build ``cls`` from string values, casting by each field's default type.
+def coerce_dataclass(items, *classes):
+    """One instance per class of ``classes``, cast by each field's default type.
 
-    ``items`` maps key -> raw string (or already-typed value).  Text is
-    cast for ``int`` and ``float`` fields and kept for ``str`` ones; a
-    field of any other type cannot be read from text and raises
-    :class:`ConfigError` naming the key.  Unknown
-    keys raise :class:`ConfigError`; if ``used`` (a set) is given they are
-    silently skipped instead and every consumed key is added to ``used``,
-    which lets one file feed several dataclasses with leftover detection
-    at the call site.
+    ``items`` maps key -> raw string (or already-typed value); each key
+    goes to the class that declares it.  Text is cast for ``int`` and
+    ``float`` fields and kept for ``str`` ones; a field of any other type
+    cannot be read from text and raises :class:`ConfigError` naming the
+    key.  Keys that no class declares raise one :class:`ConfigError`
+    listing them and the valid keys.
     """
-    known = {f.name: f for f in fields(cls)}
-    kwargs = {}
+    owner = {f.name: (cls, type(f.default)) for cls in classes for f in fields(cls)}
+    unknown = sorted(set(items) - set(owner))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}; "
+                          f"valid keys: {', '.join(sorted(owner))}")
+    kwargs = {cls: {} for cls in classes}
     for key, raw in items.items():
-        if key not in known:
-            if used is not None:
-                continue
-            raise ConfigError(
-                f"unknown config key {key!r}; valid keys: {', '.join(sorted(known))}"
-            )
-        if used is not None:
-            used.add(key)
-        ftype = type(getattr(cls(), key))
+        cls, ftype = owner[key]
         value = raw
         if isinstance(raw, str) and ftype is not str:
             if ftype not in (int, float):
-                raise ConfigError(f"config key {key!r}: cannot read a {ftype.__name__} "
-                                  f"from text")
+                raise ConfigError(f"config key {key!r}: cannot read a {ftype.__name__} from text")
             try:
                 value = ftype(raw)
             except ValueError as e:
                 raise ConfigError(f"config key {key!r}: {e}") from None
-        kwargs[key] = value
-    return cls(**kwargs)
+        kwargs[cls][key] = value
+    return tuple(cls(**kwargs[cls]) for cls in classes)
 
 
-def check_finite_fields(obj):
-    """Reject a dataclass whose float fields hold nan or inf, naming the key."""
+def check_fields(obj):
+    """Name a field whose value lacks its default's type (an int may fill a
+    float field, a bool none) or is a nan or an inf."""
     for f in fields(obj):
         value = getattr(obj, f.name)
+        want = type(f.default)
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise ValueError(f"{f.name} must be of type {want.__name__}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.9f}"
-    return str(x)
+def write_csv(path, header, rows):
+    """A header line, then one line per row: floats at 9 decimals, else ``str``."""
+    with open(path, "w", newline="") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(f"{c:.9f}" if isinstance(c, float) else str(c) for c in row) + "\n")
 
 
 def write_metrics_csv(path, rows):
     """rows: (scene, trial, psnr_db, ssim) tuples."""
-    with open(path, "w", newline="") as f:
-        f.write("scene,trial,psnr_db,ssim\n")
-        for scene, trial, psnr_db, ssim in rows:
-            f.write(f"{scene},{trial},{_fmt(float(psnr_db))},{_fmt(float(ssim))}\n")
+    write_csv(path, "scene,trial,psnr_db,ssim",
+              ((scene, trial, float(p), float(s)) for scene, trial, p, s in rows))
 
 
 def write_loss_log_csv(path, log):
     """log: dicts with phase, round, epoch, loss, entropy (entropy may be None)."""
-    with open(path, "w", newline="") as f:
-        f.write("phase,round,epoch,loss,entropy\n")
-        for row in log:
-            ent = row.get("entropy")
-            ent_s = "" if ent is None else _fmt(float(ent))
-            f.write(
-                f"{row['phase']},{row['round']},{row['epoch']},"
-                f"{_fmt(float(row['loss']))},{ent_s}\n"
-            )
+    write_csv(path, "phase,round,epoch,loss,entropy",
+              ((r["phase"], r["round"], r["epoch"], float(r["loss"]),
+                "" if r.get("entropy") is None else float(r["entropy"])) for r in log))
 
 
 def write_histogram_csv(path, counts, edges):
-    with open(path, "w", newline="") as f:
-        f.write("bin_lo,bin_hi,count\n")
-        for i, c in enumerate(counts):
-            f.write(f"{_fmt(float(edges[i]))},{_fmt(float(edges[i + 1]))},{int(c)}\n")
+    write_csv(path, "bin_lo,bin_hi,count",
+              ((float(edges[i]), float(edges[i + 1]), int(c)) for i, c in enumerate(counts)))
 
 
 def write_pgm(path, values):

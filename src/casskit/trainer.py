@@ -161,7 +161,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        io.check_finite_fields(self)
+        io.check_fields(self)
         if self.bands < 1:
             raise ValueError(f"bands must be >= 1, got {self.bands}")
         if self.d < 0:
@@ -179,10 +179,9 @@ class TrainConfig:
         return self
 
 
-def config_text(cfg):
-    """Render a config as sorted key=value lines (the config-file format)."""
-    d = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    return io.format_config(d)
+def config_text(*parts):
+    """Render dataclasses as one file of sorted key=value lines (the config-file format)."""
+    return io.format_config({f.name: getattr(p, f.name) for p in parts for f in fields(p)})
 
 
 def lr_schedule(base, epoch, period=50):
@@ -593,8 +592,8 @@ def state_from_blobs(blobs):
                          f"regime, which trains without the phi/ blobs the checkpoint holds")
     text = _blob(blobs, "meta/config", str)
     try:  # the regime is sound, so only the config can fail make_state
-        state = make_state(io.coerce_dataclass(io.parse_config(text), TrainConfig),
-                           regime["mode"], regime["fixed_g"])
+        (cfg,) = io.coerce_dataclass(io.parse_config(text), TrainConfig)
+        state = make_state(cfg, regime["mode"], regime["fixed_g"])
     except ValueError as e:
         raise type(e)(f"checkpoint blob 'meta/config': {e}") from None
     counters = _json_blob(

@@ -23,7 +23,6 @@ from casskit.harness import (
     gen_synth_scenes,
     load_config,
     run_ablation,
-    run_config_text,
     run_gradient_suite,
     run_scenario,
     run_training,
@@ -32,15 +31,18 @@ from casskit.harness import (
 )
 from casskit.io import (
     ConfigError,
+    coerce_dataclass,
     load_checkpoint,
     load_cube,
     load_mask,
     parse_config,
     save_checkpoint,
 )
+from casskit.metrics import TrialReport
 from casskit.trainer import (
     REGIMES,
     TrainConfig,
+    config_text,
     load_state,
     make_state,
     save_state,
@@ -135,6 +137,29 @@ def test_nonfinite_config_floats_are_rejected_by_name(line):
         assert line in blobs["meta/config"].splitlines()
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             state_from_blobs(blobs)
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, ScenarioSpec])
+def test_config_fields_refuse_a_value_of_another_type(cls):
+    # a float in an int field trains, then writes a checkpoint its own loader refuses;
+    # an int may fill a float field, and a bool fills neither
+    cases = [(f.name, bad) for f in fields(cls) if type(f.default) is int for bad in (2.0, True)]
+    cases += [(f.name, True) for f in fields(cls) if type(f.default) is float]
+    assert len(cases) > 10
+    for key, bad in cases:
+        with pytest.raises(ValueError, match=key):
+            cls(**{key: bad}).validate()
+
+
+@pytest.mark.parametrize("cfg, spec", [
+    (TrainConfig(), ScenarioSpec()),
+    (tiny_cfg(beta=-0.25, noise_std=0, prior_mu=1), tiny_spec(kind="one-to-many", k_train=1)),
+])
+def test_config_text_of_both_parts_reads_back(cfg, spec):
+    cfg.validate()
+    spec.validate()
+    items = parse_config(config_text(cfg, spec))
+    assert coerce_dataclass(items, TrainConfig, ScenarioSpec) == (cfg, spec)
 
 
 def test_load_config_empty_gives_defaults():
@@ -287,6 +312,29 @@ def test_write_summary_layout(tmp_path):
     assert lines[2].startswith("scene0,") and lines[3].startswith("scene1,")
 
 
+def test_write_summary_bytes(tmp_path):
+    # floats at 9 decimals, inf and nan spelled out, one line per scene
+    report = TrialReport("a")
+    for row in ((0, 0, 20.0, 0.5), (0, 1, 22.5, 0.75), (1, 0, 30.25, 0.875), (1, 1, 29.0, 0.8)):
+        report.add(*row)
+    p = tmp_path / "summary.csv"
+    write_summary(p, report)
+    assert p.read_bytes() == (
+        b"scope,psnr_mean,psnr_std,ssim_mean,ssim_std,n\n"
+        b"overall,25.437500000,4.302524695,0.731250000,0.140729128,4\n"
+        b"scene0,21.250000000,1.250000000,0.625000000,0.125000000,2\n"
+        b"scene1,29.625000000,0.625000000,0.837500000,0.037500000,2\n"
+    )
+    perfect = TrialReport("a")
+    perfect.add(0, 0, float("inf"), 1.0)
+    with np.errstate(invalid="ignore"):  # the std of [inf] is nan
+        write_summary(p, perfect)
+    assert p.read_text().splitlines()[1:] == [
+        "overall,inf,nan,1.000000000,0.000000000,1",
+        "scene0,inf,nan,1.000000000,0.000000000,1",
+    ]
+
+
 def test_run_scenario_emits_complete_tree(tmp_path):
     cfg, spec = tiny_cfg(), tiny_spec()
     out = tmp_path / "run"
@@ -300,7 +348,7 @@ def test_run_scenario_emits_complete_tree(tmp_path):
     m = load_mask(out / "masks" / "train_00.msk")
     assert m.shape == (spec.scene_h, spec.scene_w)
     assert parse_config((out / "config.txt").read_text()) == parse_config(
-        run_config_text(cfg, spec)
+        config_text(cfg, spec)
     )
     assert len(report.rows) == spec.trials * spec.scenes_test
 
@@ -379,6 +427,18 @@ def test_uncertainty_maps_outputs(tmp_path):
     )
 
 
+def test_uncertainty_stats_csv_lines(tmp_path):
+    cfg, spec = tiny_cfg(), tiny_spec(scenes_test=2)
+    exp = build_experiment(cfg, spec)
+    maps = uncertainty_maps(run_training(exp, mode="untrained"), exp, out_dir=tmp_path)
+    for scene_id, (var, _mean) in enumerate(maps):
+        want = ["band,var_min,var_max,var_mean"] + [
+            f"{band},{vb.min():.12g},{vb.max():.12g},{vb.mean():.12g}"
+            for band, vb in enumerate(np.moveaxis(var, 2, 0))
+        ]
+        assert (tmp_path / f"scene{scene_id}_stats.csv").read_text() == "\n".join(want) + "\n"
+
+
 def test_gradient_suite_quick_all_green():
     rows = run_gradient_suite(quick=True)
     names = [r[0] for r in rows]
@@ -394,7 +454,7 @@ def cli_env(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     cfg, spec = tiny_cfg(seed=5), tiny_spec()
     cfg_path = root / "run.cfg"
-    cfg_path.write_text(run_config_text(cfg, spec))
+    cfg_path.write_text(config_text(cfg, spec))
     train_dir = root / "train"
     rc = main(["train", "--config", str(cfg_path), "--out-dir", str(train_dir)])
     assert rc == 0
@@ -403,7 +463,7 @@ def cli_env(tmp_path_factory):
 
 def test_cli_gen_masks(tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
-    cfg_path.write_text(run_config_text(tiny_cfg(), tiny_spec()))
+    cfg_path.write_text(config_text(tiny_cfg(), tiny_spec()))
     out = tmp_path / "masks"
     rc = main(["gen-masks", "--config", str(cfg_path), "--out-dir", str(out)])
     assert rc == 0
@@ -418,7 +478,7 @@ def test_cli_gen_masks_writes_the_experiments_masks(tmp_path, kind):
     k_train, k_test = {"one-to-one": (1, 1), "one-to-many": (1, 2)}.get(kind, (2, 2))
     cfg, spec = tiny_cfg(), tiny_spec(kind=kind, k_train=k_train, k_test=k_test)
     cfg_path = tmp_path / "c.cfg"
-    cfg_path.write_text(run_config_text(cfg, spec))
+    cfg_path.write_text(config_text(cfg, spec))
     out = tmp_path / "masks"
     assert main(["gen-masks", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     exp = build_experiment(cfg, spec)
@@ -462,6 +522,28 @@ def test_cli_uncertainty(cli_env, tmp_path, capsys):
     assert rc == 0
     assert (out / "scene0_variance.hsc").is_file()
     assert "variance mean" in capsys.readouterr().out
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_cli_and_run_scenario_write_one_run_tree(cli_env, tmp_path):
+    # gen-masks, train and eval into one directory give run_scenario's tree, byte for byte
+    cfg_path = str(cli_env["cfg"])
+    with open(cfg_path) as f:
+        cfg, spec = load_config(f.read())
+    ref, out = tmp_path / "ref", tmp_path / "cli"
+    run_scenario(cfg, spec, out_dir=ref, mode="full")
+    for argv in (["gen-masks", "--out-dir", str(out / "masks")],
+                 ["train", "--out-dir", str(out)],
+                 ["eval", "--checkpoint", str(out / "checkpoint.ckp"), "--out-dir", str(out)]):
+        assert main(argv[:1] + ["--config", cfg_path] + argv[1:]) == 0, argv[0]
+    want = _tree(ref)
+    assert {"config.txt", "checkpoint.ckp", "loss_log.csv", "metrics.csv", "summary.csv",
+            "masks/train_00.msk", "masks/test_01.msk"} <= set(want)
+    assert _tree(out) == want
 
 
 def _same_blobs(got, want, what):
@@ -559,7 +641,7 @@ def test_cli_eval_names_a_missing_or_mistyped_blob(cli_env, tmp_path, capsys):
             ("opt_theta/t", '"4"', None),
             ("meta/log", "{}", None), ("meta/log", "[1]", None), ("meta/log", "[{}]", None),
             ("meta/log", json.dumps([{**_ROW, "loss": "abc"}]), None),
-            ("meta/config", lambda text: text + "bogus=1\n", "unknown config key 'bogus'"),
+            ("meta/config", lambda text: text + "bogus=1\n", "unknown config keys: bogus"),
             ("meta/config", config_line("batch", "batch=four"), "config key 'batch'"),
             ("meta/config", config_line("bands", "bands=0"), "bands must be >= 1"),
             ("meta/config", config_line("prior_sigma", "prior_sigma=0.0"),
@@ -597,14 +679,14 @@ def test_cli_scores_a_checkpoint_only_under_its_own_optics(cli_env, tmp_path, ca
     for kw, want in (({"d": 2}, "d (given 2, checkpoint 1)"),
                      ({"bands": 3}, "bands (given 3, checkpoint 2)")):
         cfg = tmp_path / "other.cfg"
-        cfg.write_text(run_config_text(tiny_cfg(seed=5, **kw), cli_env["spec"]))
+        cfg.write_text(config_text(tiny_cfg(seed=5, **kw), cli_env["spec"]))
         out = tmp_path / "out"
         rc = main([command, "--config", str(cfg), "--checkpoint", ckpt, "--out-dir", str(out)])
         assert rc == 2, kw
         assert want in capsys.readouterr().err
         assert not out.exists()
     # other masks are the deployment case and are scored
-    cfg.write_text(run_config_text(tiny_cfg(seed=5), tiny_spec(mask_density=0.3)))
+    cfg.write_text(config_text(tiny_cfg(seed=5), tiny_spec(mask_density=0.3)))
     assert main([command, "--config", str(cfg), "--checkpoint", ckpt,
                  "--out-dir", str(tmp_path / "ok")]) == 0
 
@@ -612,7 +694,7 @@ def test_cli_scores_a_checkpoint_only_under_its_own_optics(cli_env, tmp_path, ca
 def test_cli_train_refuses_scenes_below_the_ssim_window(tmp_path, capsys):
     # eval would refuse the checkpoint, so train refuses before any epoch
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(run_config_text(tiny_cfg(), tiny_spec(scene_h=8, scene_w=10)))
+    cfg.write_text(config_text(tiny_cfg(), tiny_spec(scene_h=8, scene_w=10)))
     out = tmp_path / "run"
     rc = main(["train", "--config", str(cfg), "--out-dir", str(out)])
     assert rc == 2
@@ -635,7 +717,7 @@ def test_cli_train_resume_rejects_another_config(cli_env, tmp_path, capsys):
 
 
 def _write_cfg(path, **kw):
-    path.write_text(run_config_text(tiny_cfg(seed=5, **kw), tiny_spec()))
+    path.write_text(config_text(tiny_cfg(seed=5, **kw), tiny_spec()))
     return str(path)
 
 
@@ -672,9 +754,9 @@ def test_cli_train_resume_rejects_fewer_rounds(tmp_path, capsys):
 def test_cli_train_resume_rejects_another_scenario(tmp_path, capsys):
     # the scenario picks the scenes and masks, so it must match like the config
     done, first, other = tmp_path / "done", tmp_path / "a.cfg", tmp_path / "b.cfg"
-    first.write_text(run_config_text(tiny_cfg(rounds=1),
+    first.write_text(config_text(tiny_cfg(rounds=1),
                                      tiny_spec(scene_h=16, scenes_train=4)))
-    other.write_text(run_config_text(tiny_cfg(rounds=2),
+    other.write_text(config_text(tiny_cfg(rounds=2),
                                      tiny_spec(scene_h=20, scenes_train=8)))
     assert main(["train", "--config", str(first), "--out-dir", str(done)]) == 0
     capsys.readouterr()
@@ -701,7 +783,7 @@ def test_cli_train_resume_without_scenario_names_the_blob(cli_env, tmp_path, cap
 
 def test_cli_ablate(tmp_path, capsys):
     cfg_path = tmp_path / "c.cfg"
-    cfg_path.write_text(run_config_text(tiny_cfg(), tiny_spec()))
+    cfg_path.write_text(config_text(tiny_cfg(), tiny_spec()))
     out = tmp_path / "abl"
     rc = main([
         "ablate", "--kind", "no-bilevel", "--config", str(cfg_path),
@@ -771,7 +853,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("config_seed, flag, want", [(11, ["--seed", "-1"], -1), (-3, [], -3)])
 def test_cli_names_a_negative_seed(tmp_path, capsys, config_seed, flag, want):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(run_config_text(tiny_cfg(seed=config_seed), tiny_spec()))
+    cfg.write_text(config_text(tiny_cfg(seed=config_seed), tiny_spec()))
     rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")] + flag)
     assert rc == 2
     assert f"seed must be >= 0, got {want}" in capsys.readouterr().err

@@ -299,7 +299,7 @@ class _Opts:
 
 
 def test_coerce_casts_by_field_type():
-    got = coerce_dataclass({"n": "7", "rate": "2.5", "tag": "run"}, _Opts)
+    (got,) = coerce_dataclass({"n": "7", "rate": "2.5", "tag": "run"}, _Opts)
     assert got == _Opts(n=7, rate=2.5, tag="run")
 
 
@@ -324,21 +324,17 @@ def test_coerce_refuses_text_for_a_type_it_cannot_read(key, raw):
 
 
 def test_coerce_unknown_key_lists_valid_ones():
-    with pytest.raises(ConfigError, match="unknown config key 'nn'.*n, rate, tag"):
+    with pytest.raises(ConfigError, match="unknown config keys: nn; valid keys: n, rate, tag"):
         coerce_dataclass({"nn": "7"}, _Opts)
 
 
-def test_coerce_used_set_routes_shared_file():
-    items = {"n": "2", "somewhere_else": "9"}
-    used = set()
-    got = coerce_dataclass(items, _Opts, used=used)
-    assert got.n == 2
-    assert used == {"n"}
-    assert set(items) - used == {"somewhere_else"}
+def test_coerce_routes_each_key_to_the_class_that_declares_it():
+    assert coerce_dataclass({"n": "2", "deep": True}, _Opts, _Knobs) == (
+        _Opts(n=2), _Knobs(deep=True))
 
 
 def test_coerce_passes_typed_values_through():
-    assert coerce_dataclass({"rate": 0.125, "n": 4}, _Opts) == _Opts(n=4, rate=0.125)
+    assert coerce_dataclass({"rate": 0.125, "n": 4}, _Opts) == (_Opts(n=4, rate=0.125),)
 
 
 # ------------------------------------------------------------- emitters

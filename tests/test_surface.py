@@ -1,11 +1,12 @@
 """The package's public surface: exported names, benchmark hooks, imports.
 
-Five static checks that need nothing beyond the standard library:
+Six static checks that need nothing beyond the standard library:
 every name a module exports exists, every function the benchmark's span
 tracer rebinds and every name its worker reads exists (both look them up
 with no default, so a missing one fails every benchmark run), no module
-imports a name it neither reads nor exports, and every config key is
-read by the code.  One run
+imports a name it neither reads nor exports, every module-level private
+name is read somewhere in the package, and every config key is read by
+the code.  One run
 under the tracer checks that every tensor still has a ``grad`` the
 tracer can read.
 """
@@ -143,6 +144,44 @@ def test_no_module_imports_a_name_it_never_uses():
         f"{path.name}: {name}" for path in FILES for name in _unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def _private_names(sources):
+    """({module-level ``_name``: where it is bound}, every name the sources read).
+
+    Functions, classes and assignments count; a read is a ``Name`` load or an
+    attribute of that name, in any of the sources."""
+    bound, read = {}, set()
+    for where, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            bound.update({n: f"{where}:{node.lineno}" for n in names
+                          if n.startswith("_") and not n.startswith("__")})
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return bound, read
+
+
+def test_every_private_module_name_is_read():
+    bound, read = _private_names({
+        "a.py": "_A = 1\n_b: int = 2\n__all__ = []\ndef _f():\n    return _A\nclass _C: pass\n",
+        "b.py": "import a\nx = a._b\n",
+    })
+    assert set(bound) == {"_A", "_b", "_f", "_C"}
+    assert sorted(set(bound) - read) == ["_C", "_f"]
+    bound, read = _private_names({path.name: path.read_text() for path in FILES})
+    assert len(bound) > 50
+    assert sorted(f"{bound[n]}: {n}" for n in set(bound) - read) == []
 
 
 def test_every_config_key_is_read_outside_its_class():

@@ -756,7 +756,7 @@ def test_config_text_roundtrip():
     cfg = tiny_cfg(beta=-0.25)
     text = config_text(cfg)
     items = io.parse_config(text)
-    back = io.coerce_dataclass(items, TrainConfig)
+    (back,) = io.coerce_dataclass(items, TrainConfig)
     assert back == cfg
 
 
