@@ -54,6 +54,14 @@ def _cmd_gen_masks(args):
     return 0
 
 
+def _refuse(keys, given, held, why, prefix=""):
+    """Refuse a config whose ``keys`` differ from the checkpoint's: ``given[k]`` and
+    ``held[k]`` are the two values, and ``why`` closes the message."""
+    if keys:
+        raise io.ConfigError(f"{prefix}config differs from the checkpoint's in " + ", ".join(
+            f"{k} (given {given[k]}, checkpoint {held.get(k)})" for k in keys) + f"; {why}")
+
+
 def _check_resume_config(cfg, spec, state):
     """Refuse to resume on other data or settings than the checkpoint's.
 
@@ -73,12 +81,7 @@ def _check_resume_config(cfg, spec, state):
         if ours[k] != theirs.get(k)
         and not (k == "rounds" and cfg.rounds > state.cfg.rounds)
     )
-    if keys:
-        raise io.ConfigError(
-            "--resume: config differs from the checkpoint's in "
-            + ", ".join(f"{k} (given {ours[k]}, checkpoint {theirs.get(k)})" for k in keys)
-            + "; only rounds may change, and only upward"
-        )
+    _refuse(keys, ours, theirs, "only rounds may change, and only upward", "--resume: ")
 
 
 def _check_optics(cfg, state):
@@ -89,13 +92,8 @@ def _check_optics(cfg, state):
     model under another instrument's masks is the deployment case.
     """
     keys = [k for k in ("bands", "d") if getattr(cfg, k) != getattr(state.cfg, k)]
-    if keys:
-        raise io.ConfigError(
-            "config differs from the checkpoint's in "
-            + ", ".join(f"{k} (given {getattr(cfg, k)}, checkpoint {getattr(state.cfg, k)})"
-                        for k in keys)
-            + "; a checkpoint is scored under the optics it was trained for"
-        )
+    _refuse(keys, vars(cfg), vars(state.cfg),
+            "a checkpoint is scored under the optics it was trained for")
 
 
 def _cmd_train(args):

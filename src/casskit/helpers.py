@@ -38,7 +38,6 @@ unguarded ``__main__`` of the parent and start a server process.
 from __future__ import annotations
 
 import atexit
-import copy
 import fcntl
 import io
 import os
@@ -52,7 +51,7 @@ import numpy as np
 
 from . import trainer
 from .ndgrad import Tensor, backward, mul
-from .optics import _cube_values, _mask_values
+from .optics import _cube_values
 
 __all__ = ["batch_backward", "usable_cores", "pool", "close", "Helper", "serve"]
 
@@ -98,39 +97,23 @@ def close():
             h.proc.wait()
 
 
-def _noise_stream(noise_rng, cfg, shape):
-    """The noise stream as one sample's encode finds it, or None without noise.
-
-    ``noise_rng`` is advanced past that sample's draw by the same
-    ``normal`` call :func:`~casskit.optics.encode_tape` makes, so it ends
-    where a serial pass over the batch leaves it.
-    """
-    if not cfg.noise_std > 0.0:
-        return None
-    h, w, bands = shape
-    own = copy.deepcopy(noise_rng)
-    noise_rng.normal(0.0, cfg.noise_std, size=(h, w + cfg.d * (bands - 1)))
-    return own
-
-
 def _wrt(theta, g, grad_theta, grad_g):
     wrt = [t for _, t in theta.parameters()] if grad_theta else []
     return wrt + [g] if grad_g else wrt
 
 
-def _sample_backward(theta, g, xv, mask, cfg, eps, noise_rng, scale, wrt):
+def _sample_backward(theta, g, xv, mask, cfg, draw, scale, wrt):
     """One sample's forward and backward, its loss seeded with ``scale``.
 
     The gradients accumulate into the ``wrt`` leaves; returns the loss.
     The sample's tape is freed on return, before the next one is built.
     """
-    loss = trainer._sample_loss(theta, g, xv, mask, cfg, eps, noise_rng=noise_rng)
+    loss = trainer._sample_loss(theta, g, xv, mask, cfg, *draw)
     backward(mul(loss, scale), wrt)
     return float(loss.data)
 
 
-def _samples_apart(theta, g, scenes, mask, cfg, eps_list, noise_rngs, scale,
-                   grad_theta, grad_g):
+def _samples_apart(theta, g, scenes, mask, cfg, draws, scale, grad_theta, grad_g):
     """A helper's share of a batch: [(loss, gradients)] per sample, in order.
 
     ``theta`` and ``g`` arrive as fresh leaves.  Each sample's gradients
@@ -139,10 +122,10 @@ def _samples_apart(theta, g, scenes, mask, cfg, eps_list, noise_rngs, scale,
     """
     wrt = _wrt(theta, g, grad_theta, grad_g)
     out = []
-    for xv, eps, noise in zip(scenes, eps_list, noise_rngs):
+    for xv, draw in zip(scenes, draws):
         for t in wrt:
             t.grad = None
-        loss = _sample_backward(theta, g, xv, mask, cfg, eps, noise, scale, wrt)
+        loss = _sample_backward(theta, g, xv, mask, cfg, draw, scale, wrt)
         out.append((loss, [t.grad for t in wrt]))
     return out
 
@@ -151,13 +134,12 @@ def batch_backward(theta, g, batch, mask, cfg, eps_rng, noise_rng, grad_theta, g
     """Mean reconstruction loss of one batch; gradients added into theta and g.
 
     Gradients go to theta's leaves if ``grad_theta`` and to the leaf ``g``
-    if ``grad_g``.  The batch is cut into contiguous chunks, one per
-    usable core; this process runs the first and adds every sample's
-    gradients in sample order.
+    if ``grad_g``.  Every draw is made first (:func:`casskit.trainer._draws`);
+    then the batch is cut into contiguous chunks, one per usable core.  This
+    process runs the first and adds every sample's gradients in sample order.
     """
     scenes = [_cube_values(x) for x in batch]
-    eps_list = [eps_rng.standard_normal(_mask_values(mask).shape) for _ in scenes]
-    noise_rngs = [_noise_stream(noise_rng, cfg, xv.shape) for xv in scenes]
+    draws = trainer._draws(scenes, mask, cfg, eps_rng, noise_rng)
     scale = 1.0 / len(scenes)
     wrt = _wrt(theta, g, grad_theta, grad_g)
     n = min(usable_cores(), len(scenes))
@@ -165,10 +147,10 @@ def batch_backward(theta, g, batch, mask, cfg, eps_rng, noise_rng, grad_theta, g
     try:
         started = pool(n - 1)
         for h, a, b in zip(started, cut[1:], cut[2:]):
-            h.submit(_samples_apart, theta, g, scenes[a:b], mask, cfg, eps_list[a:b],
-                     noise_rngs[a:b], scale, grad_theta, grad_g)
-        losses = [_sample_backward(theta, g, scenes[i], mask, cfg, eps_list[i],
-                                   noise_rngs[i], scale, wrt) for i in range(cut[1])]
+            h.submit(_samples_apart, theta, g, scenes[a:b], mask, cfg, draws[a:b], scale,
+                     grad_theta, grad_g)
+        losses = [_sample_backward(theta, g, scenes[i], mask, cfg, draws[i], scale, wrt)
+                  for i in range(cut[1])]
         for h in started:
             for loss, grads in h.result():
                 losses.append(loss)

@@ -191,11 +191,14 @@ class TrialReport:
         if not self.rows:
             raise ValueError("no rows to aggregate")
 
+        def std(v):  # 0 for equal values, an exact reconstruction's infs too; inf if unequal
+            return 0.0 if np.all(v == v[0]) else math.inf if np.isinf(v).any() else float(v.std())
+
         def stats(rows):
             p = np.asarray([r[2] for r in rows], dtype=np.float64)
             s = np.asarray([r[3] for r in rows], dtype=np.float64)
-            return {"psnr_mean": float(p.mean()), "psnr_std": float(p.std()),
-                    "ssim_mean": float(s.mean()), "ssim_std": float(s.std()), "n": len(rows)}
+            return {"psnr_mean": float(p.mean()), "psnr_std": std(p),
+                    "ssim_mean": float(s.mean()), "ssim_std": std(s), "n": len(rows)}
 
         per_scene = {scene: stats([r for r in self.rows if r[0] == scene])
                      for scene in sorted({r[0] for r in self.rows})}

@@ -3,12 +3,12 @@
 The camera multiplies each spectral channel of a scene by a coding mask,
 shears the channels horizontally by ``d`` pixels per channel index, and
 sums them onto a single 2-D detector.  ``encode_tape`` produces that
-measurement, with any measurement noise, and ``init_input_tape`` undoes
-the shear per channel (window extraction times mask) to seed a
-reconstruction network, both on the gradient tape so the mask can be
-optimized through them.  ``encode`` and
-``init_input`` are their plain-array entry points: typed inputs in,
-values out, with the same arithmetic.
+measurement, adding the noise ``detector_noise`` draws, and
+``init_input_tape`` undoes the shear per channel (window extraction times
+mask) to seed a reconstruction network, both on the gradient tape so the
+mask can be optimized through them.  ``encode`` and ``init_input`` are
+their plain-array entry points: typed inputs in, values out, with the
+same arithmetic.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "Mask",
     "Measurement",
     "encode",
+    "detector_noise",
     "init_input",
     "encode_tape",
     "init_input_tape",
@@ -133,15 +134,38 @@ def _mask_values(m):
     return _clean(m, 2, "mask")
 
 
+def _fits(m, xv, d):
+    if m.data.shape != xv.shape[:2]:
+        raise ShapeError(f"mask shape {m.data.shape} does not match scene {xv.shape[:2]}")
+    if d < 0:
+        raise ValueError(f"dispersion step must be >= 0, got {d}")
+
+
 def encode(x, m, d=2, noise_std=0.0, rng=None):
     """Form the detector image: sum over channels of shifted (scene * mask).
 
-    Returns a :class:`Measurement`.  The map and its noise are
-    :func:`encode_tape`'s.
+    Returns a :class:`Measurement`.  The map is :func:`encode_tape`'s and the
+    noise :func:`detector_noise`'s, drawn after the checks: a refused call draws none.
     """
-    _, w, bands = _cube_values(x).shape
-    y = encode_tape(x, Tensor(_mask_values(m)), d, noise_std, rng).data
-    return Measurement(y, step=d, width=w, bands=bands)
+    xv = _cube_values(x)
+    m_t = Tensor(_mask_values(m))
+    _fits(m_t, xv, d)
+    y = encode_tape(x, m_t, d, detector_noise(xv.shape, d, noise_std, rng)).data
+    return Measurement(y, step=d, width=xv.shape[1], bands=xv.shape[2])
+
+
+def detector_noise(shape, d, noise_std, rng):
+    """Pixelwise N(0, noise_std^2) from ``rng`` over the H x (W + d*(bands-1))
+    detector of a scene of ``shape`` (H, W, bands), or None at 0, drawing nothing.
+
+    This is the one draw of measurement noise, in training and evaluation.
+    """
+    if noise_std < 0:
+        raise ValueError(f"noise std must be >= 0, got {noise_std}")
+    if noise_std > 0.0 and rng is None:
+        raise ValueError("noise_std > 0 requires an rng")
+    h, w, bands = shape
+    return rng.normal(0.0, noise_std, size=(h, w + d * (bands - 1))) if noise_std > 0.0 else None
 
 
 def init_input(y, m, d=None, bands=None):
@@ -164,30 +188,25 @@ def init_input(y, m, d=None, bands=None):
     return chw_to_cube(init_input_tape(Tensor(yv), Tensor(mv), d, bands).data)
 
 
-def encode_tape(x, m, d=2, noise_std=0.0, rng=None):
+def encode_tape(x, m, d=2, noise=None):
     """Tape version of :func:`encode` with the mask on the tape.
 
-    The scene is constant data; gradients flow only into ``m``.  With
-    ``noise_std > 0`` adds pixelwise N(0, noise_std^2) from ``rng``.
+    The scene is constant data; gradients flow only into ``m``.  Adds
+    ``noise``, a field from :func:`detector_noise`, unless it is None.
     Returns the measurement as a 2-D Tensor.
     """
     xv = _cube_values(x)
     if not isinstance(m, Tensor):
         raise TypeError("encode_tape mask must be a Tensor")
+    _fits(m, xv, d)
     h, w, bands = xv.shape
-    if m.data.shape != (h, w):
-        raise ShapeError(f"mask shape {m.data.shape} does not match scene {(h, w)}")
-    if d < 0:
-        raise ValueError(f"dispersion step must be >= 0, got {d}")
-    if noise_std < 0:
-        raise ValueError(f"noise std must be >= 0, got {noise_std}")
     y = np.zeros((h, w + d * (bands - 1)))
+    if noise is not None and noise.shape != y.shape:
+        raise ShapeError(f"noise field shape {noise.shape} does not match detector {y.shape}")
     for i in range(bands):
         y[:, d * i : d * i + w] += xv[:, :, i] * m.data
-    if noise_std > 0.0:
-        if rng is None:
-            raise ValueError("noise_std > 0 requires an rng")
-        y += rng.normal(0.0, noise_std, size=y.shape)
+    if noise is not None:
+        y += noise
 
     def _bw(g):
         if not m._need:

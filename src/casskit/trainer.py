@@ -30,7 +30,7 @@ Each loss sample redraws the mask: m' = clamp01(m + g * eps), re-encodes
 the scene through m', and reconstructs from the windowed initialization,
 so gradients reach phi through both the measurement and the conditioning.
 eps is N(0, 1).  Training measurement noise is N(0, ``noise_std``^2) per
-detector pixel, drawn by :func:`casskit.optics.encode_tape` from the
+detector pixel, drawn by :func:`casskit.optics.detector_noise` from the
 epoch's noise stream; ``noise_std = 0`` draws none.
 
 Every random draw comes from a role-named generator stream (data order,
@@ -42,27 +42,16 @@ that step only phi draw from their own ``phi_order``, ``phi_mask``,
 see the same batches and masks as the equal-budget baseline, and the
 comparison between the two stays paired.
 
-A training step splits its batch across the cores this process may run
-on (``os.sched_getaffinity``), capped at the batch size: the batch is
-cut into contiguous chunks, this process runs the first and helper
-processes (:mod:`casskit.helpers`) run the others.  Each sample does its
-forward and backward on its own tape, seeded with 1/B, so its gradient
-terms are exactly those of the one tape :func:`recon_loss` builds.  That
-tape's sweep adds the samples' terms into every theta leaf, and into g,
-in sample order 0..B-1, and then the entropy term's.  The step adds the
-per-sample gradients in the same order (a helper returns its samples'
-gradients apart, never summed), then runs one sweep through the
-deviation network seeded with the summed dL/dg and the entropy term.  So
-every sum, and every output, is bit for bit what a single process
-computes, whatever the core count.  This process draws every eps and
-every measurement noise with the calls of the one-tape loss and in its
-order: a sample receives its eps and a copy of the noise generator taken
-before its draw, and the epoch's stream is advanced by the same draw, so
-every stream ends where a serial step leaves it.  Helpers start at the
-first step with more than one sample to split on a machine with more
-than one usable core, never at import or set-up, number at most one
-fewer than the usable cores, and live until the interpreter exits; see
-:mod:`casskit.helpers`.
+A training step splits its batch across the usable cores, one contiguous
+chunk per core and at most one per sample (:mod:`casskit.helpers`).
+:func:`_draws` first makes every draw of the batch, as :func:`recon_loss`
+does, so each sample receives plain (eps, noise) arrays.  Each sample
+does its forward and backward on its own tape, seeded with 1/B; the step
+adds the per-sample gradients into theta and g in sample order 0..B-1,
+the order the one tape of :func:`recon_loss` adds them in, then runs one
+sweep through the deviation network seeded with the summed dL/dg and the
+entropy term.  So every output is bit for bit what a single process
+computes, whatever the core count.
 """
 
 from __future__ import annotations
@@ -70,6 +59,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
@@ -83,6 +73,7 @@ from .optics import (
     _mask_values,
     cube_to_chw,
     chw_to_cube,
+    detector_noise,
     encode_tape,
     init_input,
     init_input_tape,
@@ -266,16 +257,29 @@ class Adam(object):
             t.data -= uv
 
 
-def _sample_loss(theta, g, xv, mask, cfg, eps=None, rng=None, noise_rng=None):
+def _draws(scenes, mask, cfg, eps_rng, noise_rng, eps_list=None):
+    """Every draw of a batch's loss samples: each one's (eps, noise), in sample order.
+
+    eps is N(0, 1) from ``eps_rng`` unless ``eps_list`` gives it; noise is
+    :func:`~casskit.optics.detector_noise`'s from ``noise_rng``, or None.
+    """
+    if eps_list is None:
+        if eps_rng is None:
+            raise ValueError("the loss needs eps_list or an eps rng")
+        eps_list = [eps_rng.standard_normal(_mask_values(mask).shape) for _ in scenes]
+    return [(eps, detector_noise(xv.shape, cfg.d, cfg.noise_std, noise_rng))
+            for eps, xv in zip(eps_list, scenes, strict=True)]
+
+
+def _sample_loss(theta, g, xv, mask, cfg, eps, noise):
     """One Monte-Carlo sample's loss: the mean squared error over its pixels.
 
-    Draws the perturbed mask m' = clamp01(m + g * eps) (``eps`` drawn from
-    ``rng`` when not given), encodes the scene values ``xv`` through m',
-    drawing measurement noise from ``noise_rng`` when ``cfg.noise_std >
-    0``, and reconstructs from the windowed initialization.
+    Forms the perturbed mask m' = clamp01(m + g * eps), encodes the scene
+    values ``xv`` through m' with the measurement noise field ``noise`` (or
+    None), and reconstructs from the windowed initialization.  Draws nothing.
     """
-    m_t = sample_perturbed(mask, g, eps=eps, rng=rng)
-    y = encode_tape(xv, m_t, cfg.d, cfg.noise_std, noise_rng)
+    m_t = sample_perturbed(mask, g, eps=eps)
+    y = encode_tape(xv, m_t, cfg.d, noise)
     x_in = init_input_tape(y, m_t, cfg.d, xv.shape[2])
     xhat = reconstruct(x_in, theta)
     diff = add(xhat, neg(Tensor(cube_to_chw(xv))))
@@ -289,24 +293,18 @@ def recon_loss(theta, g, batch, mask, cfg, rng=None, *, eps_list=None,
     ``g`` is the per-pixel deviation map, a Tensor.  Each sample draws
     its own perturbed mask m' = clamp01(m + g * eps), encodes the scene
     through m' and reconstructs from the windowed initialization, so the
-    loss reaches whatever ``g`` hangs from on the tape.  ``eps_list``
-    overrides the eps draws from ``rng``; with ``cfg.noise_std > 0`` each
-    encode draws its measurement noise from ``noise_rng``.  The loss is
-    the mean over batch and pixels.  This one tape is the reference the
-    training step's per-sample sweeps reproduce bit for bit.
+    loss reaches whatever ``g`` hangs from on the tape.  :func:`_draws`
+    makes the draws: eps from ``rng`` unless ``eps_list`` gives it, and
+    with ``cfg.noise_std > 0`` measurement noise from ``noise_rng``.  The
+    loss is the mean over batch and pixels.  This one tape is the
+    reference the training step's per-sample sweeps reproduce bit for bit.
     """
     scenes = [_cube_values(x) for x in batch]
     if not scenes:
         raise ValueError("empty batch")
-    terms = [
-        _sample_loss(theta, g, xv, mask, cfg, None if eps_list is None else eps_list[i],
-                     rng, noise_rng)
-        for i, xv in enumerate(scenes)
-    ]
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = add(acc, t)
-    return mul(acc, 1.0 / len(scenes))
+    draws = _draws(scenes, mask, cfg, rng, noise_rng, eps_list)
+    terms = [_sample_loss(theta, g, xv, mask, cfg, *draw) for xv, draw in zip(scenes, draws)]
+    return mul(reduce(add, terms), 1.0 / len(scenes))
 
 
 @dataclass
@@ -340,12 +338,11 @@ def make_state(cfg, mode="full", fixed_g=None):
     regime = {"mode": mode, "fixed_g": fixed_g}
     if not _regime(regime):
         raise ValueError(f"the training regime {regime!r} must have {_REGIME}")
-    if REGIMES[mode] and cfg.prior_sigma <= 0.0:
-        raise ValueError(
-            f"prior_sigma must be > 0 to start the deviation network, got "
-            f"{cfg.prior_sigma}: softplus^-1(0) is -inf and the entropy term "
-            f"needs g > 0"
-        )
+    with np.errstate(divide="ignore", over="ignore"):
+        bias = np.log(np.expm1(cfg.prior_sigma))
+    if REGIMES[mode] and not np.isfinite(bias):
+        raise ValueError(f"prior_sigma must be > 0 and at most about 709.78, got "
+                         f"{cfg.prior_sigma}: softplus^-1 of it, phi's output bias, is not finite")
     kids = np.random.SeedSequence(cfg.seed).spawn(len(_RNG_ROLES))
     rngs = {role: np.random.default_rng(k) for role, k in zip(_RNG_ROLES, kids)}
     theta = srn_init(
@@ -354,7 +351,7 @@ def make_state(cfg, mode="full", fixed_g=None):
     phi = None
     if REGIMES[mode]:
         phi = gst_init(cfg.gst_channels, cfg.gst_proj_channels, rngs["init_phi"])
-        phi.out_b.data[...] = np.log(np.expm1(cfg.prior_sigma))
+        phi.out_b.data[...] = bias
     adam_theta = Adam(theta.parameters())
     adam_phi = Adam(phi.parameters()) if phi is not None else None
     return TrainState(cfg, theta, phi, adam_theta, adam_phi, rngs, regime)
@@ -386,8 +383,7 @@ def _epoch(state, scenes, masks, phase, rnd=-1, *, lr_theta=None, lr_phi=None,
     of g.  When phi steps, the summed dL/dg then seeds one sweep through
     the deviation network together with the beta-weighted entropy, added
     after the samples as on the one tape that adds it to
-    :func:`recon_loss`.  Each sweep
-    computes the gradients of the stepped parameters alone.
+    :func:`recon_loss`.  Each sweep computes the stepped parameters' gradients alone.
     """
     from . import helpers  # not at import, so set-up does not compile it
 

@@ -8,6 +8,7 @@ reconstruction quality.
 import json
 import re
 import shlex
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -325,13 +326,26 @@ def test_write_summary_bytes(tmp_path):
         b"scene0,21.250000000,1.250000000,0.625000000,0.125000000,2\n"
         b"scene1,29.625000000,0.625000000,0.837500000,0.037500000,2\n"
     )
+    # an exact reconstruction's PSNR is inf: equal values spread by 0, and
+    # unequal ones that include an inf by inf, without a numpy warning
     perfect = TrialReport("a")
     perfect.add(0, 0, float("inf"), 1.0)
-    with np.errstate(invalid="ignore"):  # the std of [inf] is nan
+    mixed = TrialReport("a")
+    for row in ((0, 0, float("inf"), 1.0), (0, 1, float("inf"), 1.0),
+                (1, 0, float("inf"), 1.0), (1, 1, 30.5, 0.75)):
+        mixed.add(*row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         write_summary(p, perfect)
+        assert p.read_text().splitlines()[1:] == [
+            "overall,inf,0.000000000,1.000000000,0.000000000,1",
+            "scene0,inf,0.000000000,1.000000000,0.000000000,1",
+        ]
+        write_summary(p, mixed)
     assert p.read_text().splitlines()[1:] == [
-        "overall,inf,nan,1.000000000,0.000000000,1",
-        "scene0,inf,nan,1.000000000,0.000000000,1",
+        "overall,inf,inf,0.937500000,0.108253175,4",
+        "scene0,inf,0.000000000,1.000000000,0.000000000,2",
+        "scene1,inf,inf,0.875000000,0.125000000,2",
     ]
 
 
@@ -701,6 +715,23 @@ def test_cli_train_refuses_scenes_below_the_ssim_window(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "8x10" in err and "11x11 ssim window" in err
     assert not out.exists()
+
+
+def test_cli_train_refuses_a_prior_sigma_phi_cannot_start_from(tmp_path, capsys):
+    # softplus^-1(800) overflows: a config error by name, not a traceback at the
+    # first step; a regime without phi never takes that inverse and trains
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(config_text(tiny_cfg(prior_sigma=800.0), tiny_spec()))
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "prior_sigma must be > 0 and at most about 709.78" in err and "got 800.0" in err
+    assert not out.exists()
+    assert main(["train", "--config", str(cfg), "--mode", "fixed-variance",
+                 "--out-dir", str(out)]) == 0
 
 
 def test_cli_train_resume_rejects_another_config(cli_env, tmp_path, capsys):

@@ -117,6 +117,33 @@ def test_every_helper_count_gives_the_one_tape_bits(monkeypatch, steps, beta, no
                 assert got[name].tobytes() == value.tobytes(), (cores, name)
 
 
+def test_a_helper_receives_arrays_and_no_generator(monkeypatch):
+    # every draw of a step is made before its samples run, so what a helper
+    # is sent holds each sample's eps and noise, and no generator to draw from
+    monkeypatch.setattr(helpers, "usable_cores", lambda: 2)
+    sent = []
+    real = helpers.Helper.submit
+    monkeypatch.setattr(helpers.Helper, "submit",
+                        lambda self, fn, *args: (sent.append(args), real(self, fn, *args))[1])
+    cfg = tiny_cfg(noise_std=0.02)
+    scenes, masks = tiny_problem(4)
+    trainer._epoch(make_state(cfg), scenes, masks, "train", lr_theta=1e-3,
+                   frozen=_spread(masks, 0.1))
+
+    def found(obj):
+        if isinstance(obj, np.random.Generator):
+            return [obj]
+        if isinstance(obj, (list, tuple)):
+            return [g for o in obj for g in found(o)]
+        return []
+
+    assert len(sent) == 2  # two batches of two, one sample each to the helper
+    assert found(sent) == []
+    draws = [args[5] for args in sent]
+    assert all(len(d) == 1 and d[0][0].shape == (6, 6) and d[0][1].shape == (6, 7)
+               for d in draws)
+
+
 def test_a_forked_process_starts_its_own_helpers(monkeypatch):
     monkeypatch.setattr(helpers, "usable_cores", lambda: 2)
     parents = helpers.pool(1)

@@ -18,6 +18,7 @@ from casskit.optics import (
     Measurement,
     chw_to_cube,
     cube_to_chw,
+    detector_noise,
     encode,
     encode_tape,
     init_input,
@@ -193,13 +194,15 @@ def test_encode_tape_matches_encode():
 
 
 def test_encode_tape_draws_the_measurement_noise():
-    # encode's noise is encode_tape's: one N(0, noise_std^2) field added to
-    # the clean value, and the tape's mask gradient ignores it
+    # encode's noise is detector_noise's one N(0, noise_std^2) field, which
+    # encode_tape adds to the clean value; the tape's mask gradient ignores it
     x = RNG.random((4, 5, 3))
     m = Tensor(RNG.random((4, 5)))
     clean = encode_tape(x, m, d=2)
-    noisy = encode_tape(x, m, 2, 0.1, np.random.default_rng(3))
     field = np.random.default_rng(3).normal(0.0, 0.1, size=clean.data.shape)
+    drawn = detector_noise(x.shape, 2, 0.1, np.random.default_rng(3))
+    np.testing.assert_array_equal(drawn, field)
+    noisy = encode_tape(x, m, 2, drawn)
     np.testing.assert_array_equal(noisy.data, clean.data + field)
     np.testing.assert_array_equal(
         encode(x, m.data, 2, noise_std=0.1, rng=np.random.default_rng(3)).values, noisy.data)
@@ -209,7 +212,25 @@ def test_encode_tape_draws_the_measurement_noise():
     backward(tsum(clean))
     np.testing.assert_array_equal(m.grad, g_noisy)
     with pytest.raises(ValueError, match="requires an rng"):
-        encode_tape(x, m, 2, 0.1)
+        encode(x, m.data, 2, noise_std=0.1)
+    assert detector_noise(x.shape, 2, 0.0, None) is None
+
+
+def test_bad_noise_is_refused_and_a_refused_call_draws_nothing():
+    x = RNG.random((4, 5, 3))
+    m = RNG.random((4, 5))
+    rng = np.random.default_rng(3)
+    start = rng.bit_generator.state
+    with pytest.raises(ValueError, match="noise std must be >= 0, got -0.1"):
+        encode(x, m, 2, noise_std=-0.1, rng=rng)
+    with pytest.raises(ValueError, match="dispersion step must be >= 0"):
+        encode(x, m, -1, noise_std=0.1, rng=rng)
+    with pytest.raises(ShapeError, match=r"mask shape \(4, 4\) does not match scene \(4, 5\)"):
+        encode(x, m[:, :4], 2, noise_std=0.1, rng=rng)
+    assert rng.bit_generator.state == start
+    with pytest.raises(ShapeError, match=r"noise field shape \(4, 8\) does not match "
+                                         r"detector \(4, 9\)"):
+        encode_tape(x, Tensor(m), 2, np.zeros((4, 8)))
 
 
 def test_encode_tape_mask_gradient():

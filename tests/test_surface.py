@@ -1,12 +1,13 @@
 """The package's public surface: exported names, benchmark hooks, imports.
 
-Six static checks that need nothing beyond the standard library:
+Seven static checks that need nothing beyond the standard library:
 every name a module exports exists, every function the benchmark's span
 tracer rebinds and every name its worker reads exists (both look them up
 with no default, so a missing one fails every benchmark run), no module
 imports a name it neither reads nor exports, every module-level private
-name is read somewhere in the package, and every config key is read by
-the code.  One run
+name is read somewhere in the package, every ``.normal(`` draw is the
+measurement noise or the mask fabrication error, and every config key is
+read by the code.  One run
 under the tracer checks that every tensor still has a ``grad`` the
 tracer can read.
 """
@@ -182,6 +183,35 @@ def test_every_private_module_name_is_read():
     bound, read = _private_names({path.name: path.read_text() for path in FILES})
     assert len(bound) > 50
     assert sorted(f"{bound[n]}: {n}" for n in set(bound) - read) == []
+
+
+def _normal_calls(source):
+    """The outermost enclosing function, or None at module level, of each ``.normal(`` call."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "normal":
+                out.append(where)
+            fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, where or (child.name if fn else None))
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_every_normal_draw_is_measurement_noise_or_fabrication():
+    # one noise model: detector noise is drawn in one function, fabrication
+    # error in another, and every other Gaussian draw (eps) is standard_normal
+    assert _normal_calls(
+        "x = r.normal(0)\ndef f(r):\n    def g():\n        return r.normal(1)\n"
+        "    return r.standard_normal(2)\nclass C:\n    def m(self, r):\n"
+        "        return r.normal(3)\n"
+    ) == [None, "f", "m"]
+    where = sorted(f"{path.stem}.{fn}" for path in FILES for fn in _normal_calls(path.read_text()))
+    assert set(where) <= {"optics.detector_noise", "maskmodel.realize_mask"}
+    assert "optics.detector_noise" in where
 
 
 def test_every_config_key_is_read_outside_its_class():

@@ -11,6 +11,7 @@ import gc
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -728,6 +729,20 @@ def test_make_state_needs_positive_prior_sigma_for_gst():
         make_state(cfg)
     assert make_state(cfg, "fixed-variance", 0.0).phi is None
     build_experiment(cfg, TINY_SPEC)  # a noiseless fabrication prior stays legal
+
+
+def test_make_state_refuses_a_prior_sigma_whose_bias_is_not_finite():
+    # phi's output bias is softplus^-1(prior_sigma), which overflows past ~709.78
+    cfg = tiny_cfg(prior_sigma=800.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and numpy's overflow warning is not printed
+        for mode in ("full", "no-bilevel", "untrained"):
+            with pytest.raises(ValueError, match=r"prior_sigma must be > 0 and at most "
+                                                 r"about 709\.78, got 800\.0"):
+                make_state(cfg, mode)
+        assert make_state(cfg, "fixed-variance", 0.0).phi is None
+        bias = make_state(tiny_cfg(prior_sigma=709.0)).phi.out_b.data
+    assert np.all(bias == np.log(np.expm1(709.0)))
 
 
 def test_pretrain_loss_decreases_on_easy_problem():
