@@ -36,7 +36,7 @@ print(f"d=0 check: max |y - sum of masked bands| = {np.abs(y0.values - direct).m
 
 # the reconstruction network does not eat y directly; it gets one window
 # per band, cut at that band's shift offset and re-masked
-x_in = init_input(y, mask, d)
+x_in = init_input(y, mask)
 print(f"net input: {x_in.shape}  (one {h}x{w} window per band)")
 for c in range(bands):
     window = y.values[:, d * c : d * c + w] * mask.values

@@ -4,9 +4,9 @@ A real coded aperture is never the binary pattern you asked the fab for.
 We model a measured mask as clean pattern + N(mu, sigma^2) error, with
 (mu, sigma) the config's ``prior_mu`` and ``prior_sigma``, and training
 perturbs masks further with a per-pixel deviation map g via
-m' = clamp01(m + g * eps), eps ~ N(0, 1).  Bigger g, blurrier histogram,
-higher entropy.  Draws and entropy run on the gradient tape, as in
-training; ``.data`` reads their values.
+m' = clamp01(m + g * eps), eps ~ N(0, 1) drawn by the caller.  Bigger
+g, blurrier histogram, higher entropy.  Draws and entropy run on the
+gradient tape, as in training; ``.data`` reads their values.
 """
 
 import numpy as np
@@ -37,7 +37,7 @@ print(f"realized  : range [{real.values.min():.4f}, {real.values.max():.4f}], "
       f"prior mu={cfg.prior_mu} sigma={cfg.prior_sigma}")
 
 for g in (0.01, 0.1, 0.3):
-    draw = sample_perturbed(real, spread(g, shape), rng=rng).data
+    draw = sample_perturbed(real, spread(g, shape), rng.standard_normal(shape)).data
     counts, edges = mask_histogram(draw, 10)
     bar = "".join(str(min(int(c / 20), 9)) for c in counts)
     print(f"g={g:<5} entropy {float(entropy_term(spread(g, shape)).data):+.3f}  "
@@ -51,7 +51,8 @@ print(f"\nentropy zero point: g={g0:.6f} -> "
       f"{float(entropy_term(spread(g0, (4, 4))).data):+.2e}")
 
 # draws average back to the mask: mean of many samples ~ m (away from clamps)
-samples = np.stack([sample_perturbed(real, spread(0.05, shape), rng=rng).data
-                    for _ in range(2000)])
+samples = np.stack([
+    sample_perturbed(real, spread(0.05, shape), rng.standard_normal(shape)).data
+    for _ in range(2000)])
 err = np.abs(samples.mean(axis=0) - real.values).max()
 print(f"2000-draw mean vs mask: max abs err {err:.4f}")

@@ -56,10 +56,8 @@ class SrnParams:
         return self.head_w.data.shape[0]
 
 
-def srn_init(bands, channels=16, blocks=4, rng=None):
+def srn_init(bands, channels, blocks, rng):
     """Xavier-uniform weights (gain 1), zero biases; 3x3 kernels."""
-    if rng is None:
-        raise ValueError("srn_init requires an rng")
     if bands < 1 or channels < 1:
         raise ValueError("bands and channels must be >= 1")
     if blocks < 0:

@@ -6,8 +6,8 @@ scenario's train and test masks, ``train`` produces a checkpoint,
 ``uncertainty`` writes mask-variation variance maps, and ``gradcheck``
 runs the finite-difference verification of the gradient engine.
 
-Exit codes: 0 success, 2 usage/config/data errors (message on stderr),
-1 unexpected internal failure.
+Exit codes: 0 success, 2 usage/config/data errors and a training run
+that diverged (one line on stderr), 1 unexpected internal failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import harness, io
-from .trainer import REGIMES, config_text, load_state, train_regime
+from .trainer import REGIMES, TrainingDiverged, config_text, load_state, train_regime
 
 __all__ = ["main"]
 
@@ -217,7 +217,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (io.FormatError, io.ConfigError, ValueError, OSError) as e:
+    # FloatingPointError is raised only by the tape's finite checks, which
+    # name the op that first went non-finite
+    except (io.FormatError, io.ConfigError, ValueError, OSError, FloatingPointError,
+            TrainingDiverged) as e:
         print(f"casskit: error: {e}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -79,10 +79,8 @@ class GstParams:
         return self.proj1_w.data.shape[0]
 
 
-def gst_init(channels=8, proj_channels=4, rng=None):
+def gst_init(channels, proj_channels, rng):
     """Xavier-uniform weights (gain 1), zero biases; 3x3 embedding kernels."""
-    if rng is None:
-        raise ValueError("gst_init requires an rng")
     if channels < 1 or proj_channels < 1:
         raise ValueError("channel counts must be >= 1")
     c, cp, k = channels, proj_channels, 3

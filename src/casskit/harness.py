@@ -34,13 +34,7 @@ import numpy as np
 from . import io
 from .backbone import srn_init
 from .gstnet import gst_forward, gst_init
-from .maskmodel import (
-    MaskSet,
-    build_mask_sets,
-    entropy_term,
-    realize_mask,
-    synthesize_clean_mask,
-)
+from .maskmodel import build_mask_sets, entropy_term, realize_mask, synthesize_clean_mask
 from .metrics import SSIM_WINDOW, TrialReport, epistemic_map, psnr, ssim
 from .ndgrad import Tensor, add, grad_check, mul, tsum
 from .optics import HsiCube, Mask, encode
@@ -197,8 +191,8 @@ class Experiment:
     train_scenes: list
     val_scenes: list
     test_scenes: list
-    train_masks: MaskSet
-    test_masks: MaskSet
+    train_masks: tuple  # of Mask, non-empty
+    test_masks: tuple  # of Mask; under one-to-one, train_masks itself
 
 
 def build_experiment(cfg, spec):
@@ -221,7 +215,7 @@ def build_experiment(cfg, spec):
         train_masks, _ = build_mask_sets(
             base, (spec.scene_h, spec.scene_w), 1, 0, mask_rng
         )
-        test_masks = MaskSet(tuple(train_masks.masks), "test")
+        test_masks = train_masks
     else:
         train_masks, test_masks = build_mask_sets(
             base, (spec.scene_h, spec.scene_w), spec.k_train, spec.k_test, mask_rng
@@ -347,7 +341,7 @@ def uncertainty_maps(state, exp, out_dir=None):
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     for scene_id, x in enumerate(exp.test_scenes):
-        var, mean = epistemic_map(model, x, list(exp.test_masks), cfg.d)
+        var, mean = epistemic_map(model, x, exp.test_masks, cfg.d)
         out.append((var, mean))
         if out_dir is not None:
             io.save_cube(os.path.join(out_dir, f"scene{scene_id}_variance.hsc"), var)

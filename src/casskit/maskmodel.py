@@ -15,7 +15,6 @@ pressure ``g`` toward confident (small) values.  Both run on the tape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .ndgrad import ShapeError, Tensor, add, clamp01, log, mul, tmean
 from .optics import Mask, _mask_values
 
 __all__ = [
-    "MaskSet",
     "LOG_SQRT_2PIE",
     "synthesize_clean_mask",
     "realize_mask",
@@ -37,37 +35,10 @@ __all__ = [
 LOG_SQRT_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
 
-@dataclass(frozen=True)
-class MaskSet:
-    """A named collection of same-shape masks ("train" or "test")."""
-
-    masks: tuple
-    role: str
-
-    def __post_init__(self):
-        if self.role not in ("train", "test"):
-            raise ValueError(f"mask set role must be train or test, got {self.role!r}")
-        ms = tuple(self.masks)
-        if self.role == "train" and not ms:
-            raise ValueError("train mask set may not be empty")
-        shapes = {m.values.shape for m in ms}
-        if len(shapes) > 1:
-            raise ShapeError(f"mask set mixes shapes: {sorted(shapes)}")
-        object.__setattr__(self, "masks", ms)
-
-    def __len__(self):
-        return len(self.masks)
-
-    def __getitem__(self, i):
-        return self.masks[i]
-
-
-def synthesize_clean_mask(h, w, density=0.5, rng=None):
+def synthesize_clean_mask(h, w, density, rng):
     """Random binary on/off pattern with open fraction ~ density."""
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
-    if rng is None:
-        raise ValueError("synthesize_clean_mask requires an rng")
     values = (rng.random((h, w)) < density).astype(np.float64)
     return Mask(values)
 
@@ -78,26 +49,22 @@ def realize_mask(clean, mu, sigma, rng):
     return Mask(np.clip(cv + rng.normal(mu, sigma, size=cv.shape), 0.0, 1.0))
 
 
-def sample_perturbed(m, g, eps=None, rng=None):
+def sample_perturbed(m, g, eps):
     """Reparameterized draw m' = clamp01(m + g * eps) on the tape.
 
     ``m`` is a Mask or 2-D array (treated as constant data); ``g`` is a
     Tensor of the mask's shape or a scalar Tensor, and gradients flow
-    into it.  ``eps`` defaults to an N(0, 1) draw from ``rng``.
+    into it.  ``eps`` is an N(0, 1) array of the mask's shape, drawn by
+    the caller (in training, :func:`casskit.trainer._draws`).
     """
     mv = _mask_values(m)
     if not isinstance(g, Tensor):
         raise TypeError("sample_perturbed deviation map must be a Tensor")
     if g.data.shape not in (mv.shape, ()):
         raise ShapeError(f"deviation map shape {g.data.shape} does not match mask {mv.shape}")
-    if eps is None:
-        if rng is None:
-            raise ValueError("sample_perturbed requires eps or an rng")
-        eps = rng.standard_normal(mv.shape)
-    else:
-        eps = np.asarray(eps, dtype=np.float64)
-        if eps.shape != mv.shape:
-            raise ShapeError(f"eps shape {eps.shape} does not match mask {mv.shape}")
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != mv.shape:
+        raise ShapeError(f"eps shape {eps.shape} does not match mask {mv.shape}")
     return clamp01(add(Tensor(mv), mul(g, Tensor(eps))))
 
 
@@ -130,10 +97,11 @@ def mask_histogram(m, bins):
 
 
 def build_mask_sets(base, crop_hw, k_train, k_test, rng, max_redraw=1000):
-    """Crop train and test mask sets out of one realized base mask.
+    """Crop train and test masks out of one realized base mask: two tuples of
+    :class:`~casskit.optics.Mask`, all ``crop_hw``, the train tuple non-empty.
 
     Crops are uniform random offsets.  Any test crop that exactly equals a
-    train crop is redrawn, so the sets are disjoint by construction; if
+    train crop is redrawn, so the two are disjoint by construction; if
     the geometry makes that impossible (e.g. crop size equals base size)
     the redraw budget runs out and a ValueError explains why.  k_test may
     be 0 when no held-out masks are wanted.
@@ -166,4 +134,4 @@ def build_mask_sets(base, crop_hw, k_train, k_test, rng, max_redraw=1000):
                 "could not draw a test crop distinct from the train crops; "
                 "crop geometry leaves too few distinct positions"
             )
-    return MaskSet(tuple(train), "train"), MaskSet(tuple(test), "test")
+    return tuple(train), tuple(test)

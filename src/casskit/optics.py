@@ -59,18 +59,6 @@ class HsiCube:
             )
         object.__setattr__(self, "values", v)
 
-    @property
-    def h(self):
-        return self.values.shape[0]
-
-    @property
-    def w(self):
-        return self.values.shape[1]
-
-    @property
-    def bands(self):
-        return self.values.shape[2]
-
 
 @dataclass(frozen=True)
 class Mask:
@@ -86,14 +74,6 @@ class Mask:
                 f"[{v.min():.6g}, {v.max():.6g}]"
             )
         object.__setattr__(self, "values", v)
-
-    @property
-    def h(self):
-        return self.values.shape[0]
-
-    @property
-    def w(self):
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -116,10 +96,6 @@ class Measurement:
                 f"W={self.width}, d={self.step}, bands={self.bands} (want {want})"
             )
         object.__setattr__(self, "values", v)
-
-    @property
-    def h(self):
-        return self.values.shape[0]
 
 
 def _cube_values(x):
@@ -150,7 +126,7 @@ def encode(x, m, d=2, noise_std=0.0, rng=None):
     xv = _cube_values(x)
     m_t = Tensor(_mask_values(m))
     _fits(m_t, xv, d)
-    y = encode_tape(x, m_t, d, detector_noise(xv.shape, d, noise_std, rng)).data
+    y = encode_tape(xv, m_t, d, detector_noise(xv.shape, d, noise_std, rng)).data
     return Measurement(y, step=d, width=xv.shape[1], bands=xv.shape[2])
 
 
@@ -168,34 +144,29 @@ def detector_noise(shape, d, noise_std, rng):
     return rng.normal(0.0, noise_std, size=(h, w + d * (bands - 1))) if noise_std > 0.0 else None
 
 
-def init_input(y, m, d=None, bands=None):
+def init_input(y, m):
     """Per-channel window of the measurement times the mask.
 
     Channel i reads columns [d*i, d*i + W) of the detector image and
-    multiplies by the mask; the result is an H x W x bands array shaped
-    like the scene.  ``d`` and ``bands`` default to the measurement's own
-    geometry.  The map itself is :func:`init_input_tape`.
+    multiplies by the mask, with ``d`` and ``bands`` the geometry of the
+    :class:`Measurement` ``y``; the result is an H x W x bands array shaped
+    like the scene.  The map itself is :func:`init_input_tape`.
     """
-    mv = _mask_values(m)
-    if isinstance(y, Measurement):
-        yv = y.values
-        d = y.step if d is None else d
-        bands = y.bands if bands is None else bands
-    else:
-        yv = _clean(y, 2, "measurement")
-        if d is None or bands is None:
-            raise ValueError("raw measurement arrays need explicit d and bands")
-    return chw_to_cube(init_input_tape(Tensor(yv), Tensor(mv), d, bands).data)
+    if not isinstance(y, Measurement):
+        raise TypeError("init_input measurement must be a Measurement")
+    m_t = Tensor(_mask_values(m))
+    return chw_to_cube(init_input_tape(Tensor(y.values), m_t, y.step, y.bands).data)
 
 
-def encode_tape(x, m, d=2, noise=None):
+def encode_tape(xv, m, d=2, noise=None):
     """Tape version of :func:`encode` with the mask on the tape.
 
-    The scene is constant data; gradients flow only into ``m``.  Adds
+    ``xv`` is the scene's H x W x bands float64 values, already checked
+    (as :func:`encode` and the training loss check them once per scene);
+    it is constant data, and gradients flow only into ``m``.  Adds
     ``noise``, a field from :func:`detector_noise`, unless it is None.
     Returns the measurement as a 2-D Tensor.
     """
-    xv = _cube_values(x)
     if not isinstance(m, Tensor):
         raise TypeError("encode_tape mask must be a Tensor")
     _fits(m, xv, d)

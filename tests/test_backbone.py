@@ -94,7 +94,7 @@ def test_input_validation():
 
 
 def test_init_argument_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         srn_init(2, 4, 1)  # rng required
     with pytest.raises(ValueError):
         srn_init(0, 4, 1, np.random.default_rng(0))

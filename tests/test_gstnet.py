@@ -179,7 +179,7 @@ def test_accepts_mask_objects():
 
 
 def test_init_argument_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         gst_init(4, 2)  # rng required
     with pytest.raises(ValueError):
         gst_init(0, 2, np.random.default_rng(0))

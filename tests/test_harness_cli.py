@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from casskit import harness
 from casskit.cli import _build_parser, main
 from casskit.harness import (
     ABLATIONS,
@@ -40,9 +41,11 @@ from casskit.io import (
     save_checkpoint,
 )
 from casskit.metrics import TrialReport
+from casskit.optics import Mask
 from casskit.trainer import (
     REGIMES,
     TrainConfig,
+    TrainingDiverged,
     config_text,
     load_state,
     make_state,
@@ -229,6 +232,23 @@ def test_build_experiment_one_to_one_shares_the_mask():
     np.testing.assert_array_equal(
         exp.train_masks[0].values, exp.test_masks[0].values
     )
+
+
+def test_build_experiment_masks_are_tuples_of_scene_shaped_masks():
+    for kind, k_train, k_test in (("one-to-one", 1, 1), ("one-to-many", 1, 3),
+                                  ("many-to-many", 2, 2)):
+        spec = tiny_spec(kind=kind, k_train=k_train, k_test=k_test)
+        exp = build_experiment(tiny_cfg(), spec)
+        assert type(exp.train_masks) is tuple and type(exp.test_masks) is tuple, kind
+        assert len(exp.train_masks) == k_train >= 1, kind
+        assert all(isinstance(m, Mask) and m.values.shape == (spec.scene_h, spec.scene_w)
+                   for m in exp.train_masks + exp.test_masks), kind
+        if kind == "one-to-one":
+            assert exp.test_masks is exp.train_masks
+            continue
+        assert len(exp.test_masks) == k_test, kind
+        for te in exp.test_masks:
+            assert not any(np.array_equal(te.values, tr.values) for tr in exp.train_masks), kind
 
 
 def test_build_experiment_deterministic():
@@ -879,6 +899,33 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                "--out-dir", str(tmp_path / "z")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("casskit: error:")
+
+
+def test_cli_train_that_diverges_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # a huge step size overflows the weights within the first steps; the tape's
+    # finite check names the op, and the command reports it like a config error
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("alpha0=1e200\nt_init=3\nrounds=0\nscenes_train=4\nscenes_val=1\n"
+                   "scenes_test=1\n")
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notes
+        rc = main(["train", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "casskit: error: non-finite backward root; the first non-finite value on its "
+        "tape is the output of op 'conv2d', shape (16, 16, 16)"]
+    assert not out.exists()
+
+    # a non-finite gradient under a finite loss is the optimizer's refusal
+    def diverged(exp, mode):
+        raise TrainingDiverged("non-finite gradient in 'head_w' at optimizer step 1")
+
+    monkeypatch.setattr(harness, "run_training", diverged)
+    rc = main(["train", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "casskit: error: non-finite gradient in 'head_w' at optimizer step 1"]
 
 
 @pytest.mark.parametrize("config_seed, flag, want", [(11, ["--seed", "-1"], -1), (-3, [], -3)])

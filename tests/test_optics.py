@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casskit import optics
 from casskit.ndgrad import ShapeError, Tensor, backward, grad_check, mul, tsum
 from casskit.optics import (
     HsiCube,
@@ -62,7 +63,7 @@ def test_encode_geometry():
     m = RNG.random((5, 6))
     y = encode(x, m, d=2)
     assert y.values.shape == (5, 6 + 2 * 2)
-    assert (y.step, y.width, y.bands, y.h) == (2, 6, 3, 5)
+    assert (y.step, y.width, y.bands, y.values.shape[0]) == (2, 6, 3, 5)
 
 
 def test_encode_d_zero_is_masked_band_sum():
@@ -120,17 +121,10 @@ def test_init_input_windows_match_loop():
         np.testing.assert_allclose(
             x_in[:, :, i], y.values[:, d * i : d * i + 6] * m, atol=1e-12
         )
-
-
-def test_init_input_raw_array_needs_geometry():
-    y = RNG.random((4, 8))
-    m = RNG.random((4, 4))
-    with pytest.raises(ValueError):
-        init_input(y, m)
-    x_in = init_input(y, m, d=2, bands=3)
-    assert x_in.shape == (4, 4, 3)
+    with pytest.raises(TypeError):
+        init_input(y.values, m)  # d and bands come from the Measurement
     with pytest.raises(ShapeError):
-        init_input(y, m, d=1, bands=3)  # width 8 != 4 + 1*2
+        init_input(y, m[:, :5])  # width 10 != 5 + 2*2
 
 
 def test_single_band_roundtrip():
@@ -171,7 +165,21 @@ def test_measurement_width_consistency():
     with pytest.raises(ShapeError):
         Measurement(np.zeros((4, 7)), step=2, width=4, bands=3)
     ok = Measurement(np.zeros((4, 8)), step=2, width=4, bands=3)
-    assert ok.h == 4
+    assert ok.values.shape[0] == 4
+
+
+def test_encode_checks_a_raw_scene_once(monkeypatch):
+    # encode checks a raw scene, then hands the checked values to encode_tape
+    cleaned = []
+    real = optics._clean
+
+    def counting(values, ndim, what):
+        cleaned.append(what)
+        return real(values, ndim, what)
+
+    monkeypatch.setattr(optics, "_clean", counting)
+    encode(RNG.random((4, 5, 3)), RNG.random((4, 5)), 2)
+    assert sorted(cleaned) == ["cube", "mask", "measurement"]
 
 
 def test_typed_and_raw_inputs_agree():

@@ -1,12 +1,13 @@
 """The package's public surface: exported names, benchmark hooks, imports.
 
-Seven static checks that need nothing beyond the standard library:
+Eight static checks that need nothing beyond the standard library:
 every name a module exports exists, every function the benchmark's span
 tracer rebinds and every name its worker reads exists (both look them up
 with no default, so a missing one fails every benchmark run), no module
 imports a name it neither reads nor exports, every module-level private
 name is read somewhere in the package, every ``.normal(`` draw is the
-measurement noise or the mask fabrication error, and every config key is
+measurement noise or the mask fabrication error, every
+``.standard_normal(`` draw is a loss sample's eps, and every config key is
 read by the code.  One run
 under the tracer checks that every tensor still has a ``grad`` the
 tracer can read.
@@ -185,14 +186,15 @@ def test_every_private_module_name_is_read():
     assert sorted(f"{bound[n]}: {n}" for n in set(bound) - read) == []
 
 
-def _normal_calls(source):
-    """The outermost enclosing function, or None at module level, of each ``.normal(`` call."""
+def _normal_calls(source, method):
+    """The outermost enclosing function, or None at module level, of each
+    ``.<method>(`` call."""
     out = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
-                    and child.func.attr == "normal":
+                    and child.func.attr == method:
                 out.append(where)
             fn = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, where or (child.name if fn else None))
@@ -207,11 +209,22 @@ def test_every_normal_draw_is_measurement_noise_or_fabrication():
     assert _normal_calls(
         "x = r.normal(0)\ndef f(r):\n    def g():\n        return r.normal(1)\n"
         "    return r.standard_normal(2)\nclass C:\n    def m(self, r):\n"
-        "        return r.normal(3)\n"
+        "        return r.normal(3)\n", "normal"
     ) == [None, "f", "m"]
-    where = sorted(f"{path.stem}.{fn}" for path in FILES for fn in _normal_calls(path.read_text()))
+    where = sorted(f"{path.stem}.{fn}" for path in FILES
+                   for fn in _normal_calls(path.read_text(), "normal"))
     assert set(where) <= {"optics.detector_noise", "maskmodel.realize_mask"}
     assert "optics.detector_noise" in where
+
+
+def test_every_eps_draw_is_made_where_the_loss_samples_are_drawn():
+    # eps has one draw site in training, trainer._draws, and the gradient
+    # suite draws its own fixed eps for the end-to-end check
+    assert _normal_calls("def f(r):\n    return r.normal(1) + r.standard_normal(2)\n",
+                         "standard_normal") == ["f"]
+    where = {f"{path.stem}.{fn}" for path in FILES
+             for fn in _normal_calls(path.read_text(), "standard_normal")}
+    assert where == {"trainer._draws", "harness._end_to_end_check"}
 
 
 def test_every_config_key_is_read_outside_its_class():

@@ -656,7 +656,7 @@ def test_full_theta_matches_no_gst_baseline_when_masks_are_unperturbed(monkeypat
 
     real = trainer.sample_perturbed
     monkeypatch.setattr(trainer, "sample_perturbed",
-                        lambda m, g, eps=None, rng=None: real(m, mul(g, 0.0), eps, rng))
+                        lambda m, g, eps: real(m, mul(g, 0.0), eps))
     in_process(monkeypatch)
     cfg = tiny_cfg(lr_halve_period=2, t_trn=2, t_val=2, rounds=3)
     exp = build_experiment(cfg, TINY_SPEC)
